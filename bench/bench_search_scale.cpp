@@ -16,7 +16,11 @@
 // — and emits BENCH_SEARCH.json: per-model DP-cell counts, prune counters,
 // search wall-clock, the cells/wall-clock ratios of exhaustive over pruned,
 // and an equal-quality proof (bit-identical plan JSON and bit-equal
-// est_iteration across all three engines). The headline gate holds the
+// est_iteration across all three engines). Each engine row also carries
+// the per-phase wall-clock (phase1 = atomic, phase2 = block partitioning,
+// search = the Phase-3 sweep, all inside wall_seconds) and the Phase-2
+// work counters (quotient cycle checks and the groups they visited), which
+// are single-threaded and so identical across engines. The headline gate holds the
 // PR 10 acceptance bar: on the 100k-task builder the pruned engine must
 // show >= 10x fewer DP cells or >= 10x search wall-clock speedup at equal
 // plan cost.
@@ -30,6 +34,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "rannc.h"
@@ -55,6 +60,10 @@ struct EngineResult {
   bool feasible = false;
   double search_seconds = 0;
   double wall_seconds = 0;
+  double phase1_seconds = 0;
+  double phase2_seconds = 0;
+  std::int64_t cycle_checks = 0;
+  std::int64_t cycle_check_visits = 0;
   std::int64_t dp_cells = 0;
   std::int64_t profile_queries = 0;
   std::int64_t bound_queries = 0;
@@ -141,6 +150,10 @@ EngineResult run_engine(const TaskGraph& graph, const Scenario& sc,
   er.feasible = sr.feasible();
   er.search_seconds = sr.stats().search_seconds;
   er.wall_seconds = sr.stats().wall_seconds;
+  er.phase1_seconds = sr.stats().phase1_seconds;
+  er.phase2_seconds = sr.stats().phase2_seconds;
+  er.cycle_checks = sr.stats().cycle_checks;
+  er.cycle_check_visits = sr.stats().cycle_check_visits;
   er.dp_cells = sr.stats().dp_cells_visited;
   er.profile_queries = sr.stats().profile_queries;
   er.bound_queries = sr.prune().bound_queries;
@@ -154,6 +167,20 @@ EngineResult run_engine(const TaskGraph& graph, const Scenario& sc,
   er.est_iteration = sr.plan.est_iteration_time;
   if (er.feasible) er.plan_json = plan_to_json(sr.plan);
   return er;
+}
+
+/// The CPU's model name, for the hardware context of the wall-clock
+/// figures (Linux; "unknown" elsewhere).
+std::string cpu_model() {
+  std::ifstream f("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(f, line))
+    if (line.rfind("model name", 0) == 0) {
+      const std::size_t colon = line.find(':');
+      if (colon != std::string::npos && colon + 2 <= line.size())
+        return line.substr(colon + 2);
+    }
+  return "unknown";
 }
 
 std::string json_escape(const std::string& s) {
@@ -223,9 +250,13 @@ int main(int argc, char** argv) {
     const EngineResult& pr = r.engines[1];
     for (const EngineResult& er : r.engines) {
       std::printf(
-          "  %-10s search=%8.3fs cells=%10lld bounds=%8lld jobs_cut=%lld "
+          "  %-10s wall=%8.3fs phase1=%7.3fs phase2=%7.3fs search=%8.3fs "
+          "checks=%lld visits=%lld cells=%10lld bounds=%8lld jobs_cut=%lld "
           "est=%.6f\n",
-          er.label.c_str(), er.search_seconds,
+          er.label.c_str(), er.wall_seconds, er.phase1_seconds,
+          er.phase2_seconds, er.search_seconds,
+          static_cast<long long>(er.cycle_checks),
+          static_cast<long long>(er.cycle_check_visits),
           static_cast<long long>(er.dp_cells),
           static_cast<long long>(er.bound_queries),
           static_cast<long long>(er.jobs_pruned + er.jobs_dominated),
@@ -262,6 +293,10 @@ int main(int argc, char** argv) {
   os << "{\n";
   os << "  \"bench\": \"search_scale\",\n";
   os << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
+  os << "  \"hardware\": {\"cpu\": \"" << json_escape(cpu_model())
+     << "\", \"hardware_concurrency\": "
+     << std::thread::hardware_concurrency() << ", \"compiler\": \""
+     << json_escape(__VERSION__) << "\"},\n";
   os << "  \"all_plans_identical\": "
      << (all_plans_identical ? "true" : "false") << ",\n";
   os << "  \"gate_10x\": " << (gate_10x ? "true" : "false") << ",\n";
@@ -288,6 +323,11 @@ int main(int argc, char** argv) {
          << ",\n";
       os << "          \"search_seconds\": " << er.search_seconds << ",\n";
       os << "          \"wall_seconds\": " << er.wall_seconds << ",\n";
+      os << "          \"phase1_seconds\": " << er.phase1_seconds << ",\n";
+      os << "          \"phase2_seconds\": " << er.phase2_seconds << ",\n";
+      os << "          \"cycle_checks\": " << er.cycle_checks << ",\n";
+      os << "          \"cycle_check_visits\": " << er.cycle_check_visits
+         << ",\n";
       os << "          \"dp_cells\": " << er.dp_cells << ",\n";
       os << "          \"profile_queries\": " << er.profile_queries << ",\n";
       os << "          \"bound_queries\": " << er.bound_queries << ",\n";

@@ -349,7 +349,11 @@ SearchResult auto_partition(const TaskGraph& model, const SearchRequest& req) {
   std::shared_ptr<AtomicPartition> ap;
   {
     obs::Scope sc("phase1:atomic_partition");
+    const auto t1 = std::chrono::steady_clock::now();
     ap = std::make_shared<AtomicPartition>(atomic_partition(model));
+    res.stats.phase1_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t1)
+            .count();
     sc.arg("components", ap->comps.size());
   }
   GraphProfiler prof(ap->graph, req.cluster.device, req.precision);
@@ -407,6 +411,7 @@ SearchResult auto_partition(const TaskGraph& model, const SearchRequest& req) {
   std::vector<std::vector<TaskId>> unit_tasks;
   {
     obs::Scope sc("phase2:block_partition");
+    const auto t2 = std::chrono::steady_clock::now();
     if (req.use_coarsening) {
       BlockPartitionConfig bcfg;
       bcfg.k = req.num_blocks;
@@ -423,6 +428,8 @@ SearchResult auto_partition(const TaskGraph& model, const SearchRequest& req) {
       res.stats.coarsen_levels = bp.coarsen_levels;
       res.stats.uncoarsen_moves = bp.uncoarsen_moves;
       res.stats.compaction_merges = bp.compaction_merges;
+      res.stats.cycle_checks = bp.cycle_checks;
+      res.stats.cycle_check_visits = bp.cycle_check_visits;
       unit_tasks.reserve(bp.blocks.size());
       for (Block& b : bp.blocks) unit_tasks.push_back(std::move(b.tasks));
     } else {
@@ -431,6 +438,9 @@ SearchResult auto_partition(const TaskGraph& model, const SearchRequest& req) {
         unit_tasks.push_back(c.tasks);
       res.stats.blocks = static_cast<int>(unit_tasks.size());
     }
+    res.stats.phase2_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t2)
+            .count();
     sc.arg("blocks", res.stats.blocks);
   }
 
@@ -812,6 +822,15 @@ SearchResult auto_partition(const TaskGraph& model, const SearchRequest& req) {
   // (always on — one mutex-guarded lookup per metric per partition call).
   {
     obs::MetricsRegistry& m = obs::metrics();
+    m.counter("partition.atomic_components")
+        .add(static_cast<std::int64_t>(res.stats.atomic_components));
+    m.counter("partition.blocks").add(res.stats.blocks);
+    m.counter("partition.coarsen_levels").add(res.stats.coarsen_levels);
+    m.counter("partition.uncoarsen_moves").add(res.stats.uncoarsen_moves);
+    m.counter("partition.compaction_merges").add(res.stats.compaction_merges);
+    m.counter("partition.cycle_checks").add(res.stats.cycle_checks);
+    m.counter("partition.cycle_check_visits")
+        .add(res.stats.cycle_check_visits);
     m.counter("partition.dp_invocations").add(res.stats.dp_invocations);
     m.counter("partition.dp_cells_visited").add(res.stats.dp_cells_visited);
     m.counter("partition.profile_queries").add(res.stats.profile_queries);
@@ -824,6 +843,8 @@ SearchResult auto_partition(const TaskGraph& model, const SearchRequest& req) {
       m.gauge("partition.memo_hit_rate")
           .set(static_cast<double>(res.stats.memo_hits) /
                static_cast<double>(lookups));
+    m.gauge("partition.phase1_seconds").set(res.stats.phase1_seconds);
+    m.gauge("partition.phase2_seconds").set(res.stats.phase2_seconds);
     m.gauge("partition.search_seconds").set(res.stats.search_seconds);
     m.gauge("partition.wall_seconds").set(res.stats.wall_seconds);
     const PruneStats& ps = res.stats.prune;

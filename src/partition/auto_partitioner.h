@@ -131,6 +131,10 @@ struct SearchStats {
   int coarsen_levels = 0;
   int uncoarsen_moves = 0;
   int compaction_merges = 0;
+  /// Phase-2 quotient cycle checks and the groups they visited
+  /// (BlockPartition::cycle_checks / cycle_check_visits).
+  std::int64_t cycle_checks = 0;
+  std::int64_t cycle_check_visits = 0;
   std::int64_t dp_cells_visited = 0;
   std::int64_t profile_queries = 0;
   /// Queries avoided by the equal-stage_devs reuse inside form_stage_dp.
@@ -144,6 +148,8 @@ struct SearchStats {
   /// Branch-and-bound counters (all zero on the exhaustive engine).
   PruneStats prune;
   double wall_seconds = 0;   ///< whole auto_partition call
+  double phase1_seconds = 0; ///< atomic partitioning (subset of wall_seconds)
+  double phase2_seconds = 0; ///< block partitioning (subset of wall_seconds)
   double search_seconds = 0; ///< Phase-3 sweep only (subset of wall_seconds)
   /// Every (S, MB) examined, in deterministic (nodes, stages, microbatches)
   /// order regardless of which worker thread finished first. When the

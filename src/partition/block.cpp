@@ -1,24 +1,20 @@
 #include "partition/block.h"
 
 #include <algorithm>
-#include <cassert>
 #include <deque>
 #include <numeric>
 #include <stdexcept>
+
+#include "partition/quotient.h"
+#include "util/stamp_set.h"
 
 namespace rannc {
 
 namespace {
 
-/// Comp-level weighted edge (activation bytes crossing between components).
-struct CompEdge {
-  int from = 0;
-  int to = 0;
-  std::int64_t bytes = 0;
-};
-
-/// Working state shared by the three steps. Groups are tracked as an
-/// assignment comp -> group id; group ids are compacted between steps.
+/// Working state shared by the three steps. Groups live in a QuotientGraph
+/// (assignment comp -> group id, arcs, topological order); group ids are
+/// compacted, and the quotient restarted, by every build_view().
 class Partitioner {
  public:
   Partitioner(const AtomicPartition& ap, const GraphProfiler& prof,
@@ -49,9 +45,9 @@ class Partitioner {
     }
     // Inter-component edges: every non-constant output consumed by another
     // component. One edge per (producer comp, consumer comp, value), bytes
-    // scaled to the profiling batch.
-    comp_adj_.resize(static_cast<std::size_t>(n));
-    comp_radj_.resize(static_cast<std::size_t>(n));
+    // scaled to the profiling batch. The quotient owns the edges and their
+    // adjacency; edge_bytes_ shares its edge ids.
+    std::vector<std::pair<int, int>> edges;
     for (const Value& v : g.values()) {
       if (v.producer == kNoTask || v.kind == ValueKind::Param) continue;
       const int pc = ap.comp_of_task[static_cast<std::size_t>(v.producer)];
@@ -65,14 +61,13 @@ class Partitioner {
         const auto bytes = static_cast<std::int64_t>(
             static_cast<double>(v.bytes()) *
             static_cast<double>(cfg.profile_batch) * prof.act_factor());
-        const int e = static_cast<int>(edges_.size());
-        edges_.push_back({pc, cc, bytes});
-        comp_adj_[static_cast<std::size_t>(pc)].push_back(e);
-        comp_radj_[static_cast<std::size_t>(cc)].push_back(e);
+        edges.emplace_back(pc, cc);
+        edge_bytes_.push_back(bytes);
       }
     }
-    group_of_comp_.resize(static_cast<std::size_t>(n));
-    std::iota(group_of_comp_.begin(), group_of_comp_.end(), 0);
+    q_ = QuotientGraph(n, std::move(edges), comp_params_, comp_act_);
+    in_sub_ = StampSet(static_cast<std::size_t>(n));
+    visited_ = StampSet(static_cast<std::size_t>(n));
   }
 
   BlockPartition run() {
@@ -102,12 +97,14 @@ class Partitioner {
   }
 
   /// Builds a compacted view of the current partition. Group ids are
-  /// renumbered densely; group_of_comp_ is rewritten accordingly.
+  /// renumbered densely, and the quotient restarts from the renumbered
+  /// assignment with the view's ranks as its topological order.
   GroupView build_view() {
     // Renumber group ids densely.
-    std::vector<int> remap(group_of_comp_.size(), -1);
+    std::vector<int> group_of_comp = q_.group_of_comp();
+    std::vector<int> remap(group_of_comp.size(), -1);
     int next = 0;
-    for (int& gid : group_of_comp_) {
+    for (int& gid : group_of_comp) {
       if (remap[static_cast<std::size_t>(gid)] < 0)
         remap[static_cast<std::size_t>(gid)] = next++;
       gid = remap[static_cast<std::size_t>(gid)];
@@ -117,8 +114,8 @@ class Partitioner {
     gv.time.assign(static_cast<std::size_t>(next), 0);
     std::vector<std::int64_t> params(static_cast<std::size_t>(next), 0);
     std::vector<std::int64_t> act(static_cast<std::size_t>(next), 0);
-    for (std::size_t c = 0; c < group_of_comp_.size(); ++c) {
-      const auto gid = static_cast<std::size_t>(group_of_comp_[c]);
+    for (std::size_t c = 0; c < group_of_comp.size(); ++c) {
+      const auto gid = static_cast<std::size_t>(group_of_comp[c]);
       gv.comps[gid].push_back(static_cast<int>(c));
       gv.time[gid] += comp_time_f_[c] + comp_time_b_[c];
       params[gid] += comp_params_[c];
@@ -131,9 +128,9 @@ class Partitioner {
                     act[static_cast<std::size_t>(i)]);
     gv.succ.resize(static_cast<std::size_t>(next));
     gv.pred.resize(static_cast<std::size_t>(next));
-    for (const CompEdge& e : edges_) {
-      const int a = group_of_comp_[static_cast<std::size_t>(e.from)];
-      const int b = group_of_comp_[static_cast<std::size_t>(e.to)];
+    for (auto [from, to] : q_.edges()) {
+      const int a = group_of_comp[static_cast<std::size_t>(from)];
+      const int b = group_of_comp[static_cast<std::size_t>(to)];
       if (a != b) {
         gv.succ[static_cast<std::size_t>(a)].push_back(b);
         gv.pred[static_cast<std::size_t>(b)].push_back(a);
@@ -148,44 +145,8 @@ class Partitioner {
       v.erase(std::unique(v.begin(), v.end()), v.end());
     }
     gv.rank = topo_rank(gv);
+    q_.reset(group_of_comp, gv.rank);
     return gv;
-  }
-
-  /// Fast acyclicity check of the current quotient (group_of_comp_ +
-  /// edges_), without building a full view. Used to validate individual
-  /// merges/moves: pairwise convexity checks do not compose — two merges
-  /// that are each convex against the same snapshot can jointly create a
-  /// quotient cycle.
-  [[nodiscard]] bool quotient_acyclic() const {
-    const int n = static_cast<int>(group_of_comp_.size());
-    std::vector<int> indeg(static_cast<std::size_t>(n), 0);
-    std::vector<std::vector<int>> succ(static_cast<std::size_t>(n));
-    for (const CompEdge& e : edges_) {
-      const int a = group_of_comp_[static_cast<std::size_t>(e.from)];
-      const int b = group_of_comp_[static_cast<std::size_t>(e.to)];
-      if (a != b) {
-        succ[static_cast<std::size_t>(a)].push_back(b);
-        ++indeg[static_cast<std::size_t>(b)];
-      }
-    }
-    std::deque<int> q;
-    std::vector<char> is_group(static_cast<std::size_t>(n), 0);
-    for (int g : group_of_comp_) is_group[static_cast<std::size_t>(g)] = 1;
-    int groups = 0;
-    for (int g = 0; g < n; ++g)
-      if (is_group[static_cast<std::size_t>(g)]) {
-        ++groups;
-        if (indeg[static_cast<std::size_t>(g)] == 0) q.push_back(g);
-      }
-    int visited = 0;
-    while (!q.empty()) {
-      const int u = q.front();
-      q.pop_front();
-      ++visited;
-      for (int v : succ[static_cast<std::size_t>(u)])
-        if (--indeg[static_cast<std::size_t>(v)] == 0) q.push_back(v);
-    }
-    return visited == groups;
   }
 
   /// Kahn topological ranks; throws if the quotient has a cycle (would mean
@@ -214,15 +175,15 @@ class Partitioner {
 
   /// True iff a path u ->+ x exists in the quotient that passes through at
   /// least one intermediate group. Pruned DFS using topological ranks.
-  static bool indirect_path(const GroupView& gv, int u, int x) {
+  bool indirect_path(const GroupView& gv, int u, int x) {
     const int limit = gv.rank[static_cast<std::size_t>(x)];
-    std::vector<char> visited(gv.comps.size(), 0);
+    visited_.clear();
     std::vector<int> stack;
     for (int s : gv.succ[static_cast<std::size_t>(u)]) {
       if (s == x) continue;  // direct edge: allowed
       if (gv.rank[static_cast<std::size_t>(s)] < limit &&
-          !visited[static_cast<std::size_t>(s)]) {
-        visited[static_cast<std::size_t>(s)] = 1;
+          !visited_.contains(s)) {
+        visited_.insert(s);
         stack.push_back(s);
       }
     }
@@ -232,8 +193,8 @@ class Partitioner {
       for (int s : gv.succ[static_cast<std::size_t>(cur)]) {
         if (s == x) return true;
         if (gv.rank[static_cast<std::size_t>(s)] < limit &&
-            !visited[static_cast<std::size_t>(s)]) {
-          visited[static_cast<std::size_t>(s)] = 1;
+            !visited_.contains(s)) {
+          visited_.insert(s);
           stack.push_back(s);
         }
       }
@@ -242,7 +203,7 @@ class Partitioner {
   }
 
   /// Merge feasibility: adjacent + convex + within device memory.
-  [[nodiscard]] bool can_merge(const GroupView& gv, int a, int b) const {
+  [[nodiscard]] bool can_merge(const GroupView& gv, int a, int b) {
     if (cfg_.device_memory > 0 &&
         gv.mem[static_cast<std::size_t>(a)] +
                 gv.mem[static_cast<std::size_t>(b)] >
@@ -266,7 +227,7 @@ class Partitioner {
     // halting a pairwise-matching level midway leaves blocks of ~2x
     // different sizes, which quantizes the stage-level balance.
     double total_time = 0;
-    for (std::size_t c = 0; c < group_of_comp_.size(); ++c)
+    for (std::size_t c = 0; c < comp_time_f_.size(); ++c)
       total_time += comp_time_f_[c] + comp_time_b_[c];
     const double time_cap = total_time / std::max(1, cfg_.k);
     while (true) {
@@ -313,27 +274,17 @@ class Partitioner {
       if (merges.empty()) break;  // |G_L| == |G_{L+1}|: no progress
 
       // Record history for uncoarsening, then apply the merges one at a
-      // time, validating quotient acyclicity after each: merges checked
+      // time, checking quotient acyclicity before each: merges checked
       // pairwise against the same snapshot can jointly create a cycle, so
-      // offenders are rolled back (they may merge at a later level).
+      // offenders are skipped (they may merge at a later level). Every
+      // group is in at most one pair, so b is still whole and a still has
+      // its view id.
       LevelHistory hist;
       bool applied_any = false;
       for (auto [a, b] : merges) {
-        const int target =
-            group_of_comp_[static_cast<std::size_t>(
-                gv.comps[static_cast<std::size_t>(a)].front())];
-        std::vector<int> saved;
-        saved.reserve(gv.comps[static_cast<std::size_t>(b)].size());
-        for (int c : gv.comps[static_cast<std::size_t>(b)]) {
-          saved.push_back(group_of_comp_[static_cast<std::size_t>(c)]);
-          group_of_comp_[static_cast<std::size_t>(c)] = target;
-        }
-        if (!quotient_acyclic()) {
-          for (std::size_t i = 0; i < saved.size(); ++i)
-            group_of_comp_[static_cast<std::size_t>(
-                gv.comps[static_cast<std::size_t>(b)][i])] = saved[i];
-          continue;
-        }
+        const std::vector<int>& sub = gv.comps[static_cast<std::size_t>(b)];
+        if (q_.would_cycle(sub, a)) continue;
+        q_.move(sub, a);
         applied_any = true;
         hist.pairs.push_back({gv.comps[static_cast<std::size_t>(a)],
                               gv.comps[static_cast<std::size_t>(b)]});
@@ -345,25 +296,21 @@ class Partitioner {
   }
 
   // ---- uncoarsening -------------------------------------------------------
-  /// Bytes of comp edges between the comp set `sub` and the group `gid`
-  /// (excluding comps of `sub` itself).
+  /// Bytes of comp edges between the comp set `sub` (held in in_sub_)
+  /// and the group `gid`, excluding comps of `sub` itself.
   [[nodiscard]] std::int64_t bytes_between(const std::vector<int>& sub,
                                            int gid) const {
-    std::vector<char> in_sub(group_of_comp_.size(), 0);
-    for (int c : sub) in_sub[static_cast<std::size_t>(c)] = 1;
     std::int64_t total = 0;
     for (int c : sub) {
-      for (int e : comp_adj_[static_cast<std::size_t>(c)]) {
-        const int o = edges_[static_cast<std::size_t>(e)].to;
-        if (!in_sub[static_cast<std::size_t>(o)] &&
-            group_of_comp_[static_cast<std::size_t>(o)] == gid)
-          total += edges_[static_cast<std::size_t>(e)].bytes;
+      for (int e : q_.out_edges(c)) {
+        const int o = q_.edges()[static_cast<std::size_t>(e)].second;
+        if (!in_sub_.contains(o) && q_.group_of(o) == gid)
+          total += edge_bytes_[static_cast<std::size_t>(e)];
       }
-      for (int e : comp_radj_[static_cast<std::size_t>(c)]) {
-        const int o = edges_[static_cast<std::size_t>(e)].from;
-        if (!in_sub[static_cast<std::size_t>(o)] &&
-            group_of_comp_[static_cast<std::size_t>(o)] == gid)
-          total += edges_[static_cast<std::size_t>(e)].bytes;
+      for (int e : q_.in_edges(c)) {
+        const int o = q_.edges()[static_cast<std::size_t>(e)].first;
+        if (!in_sub_.contains(o) && q_.group_of(o) == gid)
+          total += edge_bytes_[static_cast<std::size_t>(e)];
       }
     }
     return total;
@@ -388,30 +335,25 @@ class Partitioner {
     // The sub-group must currently live entirely inside one block, and must
     // not be the whole block (a whole-block move is a merge, not a
     // boundary adjustment).
-    const int home = group_of_comp_[static_cast<std::size_t>(sub.front())];
+    const int home = q_.group_of(sub.front());
     for (int c : sub)
-      if (group_of_comp_[static_cast<std::size_t>(c)] != home) return;
-    std::size_t home_size = 0;
-    for (int g : group_of_comp_)
-      if (g == home) ++home_size;
-    if (home_size == sub.size()) return;
+      if (q_.group_of(c) != home) return;
+    if (q_.size(home) == sub.size()) return;
 
     // Candidate targets: blocks adjacent to any comp of `sub`.
     std::vector<int> cands;
-    std::vector<char> in_sub(group_of_comp_.size(), 0);
-    for (int c : sub) in_sub[static_cast<std::size_t>(c)] = 1;
+    in_sub_.clear();
+    for (int c : sub) in_sub_.insert(c);
     for (int c : sub) {
-      for (int e : comp_adj_[static_cast<std::size_t>(c)]) {
-        const int o = edges_[static_cast<std::size_t>(e)].to;
-        const int og = group_of_comp_[static_cast<std::size_t>(o)];
-        if (!in_sub[static_cast<std::size_t>(o)] && og != home)
-          cands.push_back(og);
+      for (int e : q_.out_edges(c)) {
+        const int o = q_.edges()[static_cast<std::size_t>(e)].second;
+        const int og = q_.group_of(o);
+        if (!in_sub_.contains(o) && og != home) cands.push_back(og);
       }
-      for (int e : comp_radj_[static_cast<std::size_t>(c)]) {
-        const int o = edges_[static_cast<std::size_t>(e)].from;
-        const int og = group_of_comp_[static_cast<std::size_t>(o)];
-        if (!in_sub[static_cast<std::size_t>(o)] && og != home)
-          cands.push_back(og);
+      for (int e : q_.in_edges(c)) {
+        const int o = q_.edges()[static_cast<std::size_t>(e)].first;
+        const int og = q_.group_of(o);
+        if (!in_sub_.contains(o) && og != home) cands.push_back(og);
       }
     }
     std::sort(cands.begin(), cands.end());
@@ -430,32 +372,19 @@ class Partitioner {
     }
     if (best < 0) return;
 
-    // Tentatively apply; verify convexity (quotient acyclicity) and memory
-    // with non-mutating checks (build_view renumbers group ids in place and
-    // must not run on a state that may be rolled back).
-    std::vector<int> saved;
-    saved.reserve(sub.size());
-    for (int c : sub) {
-      saved.push_back(group_of_comp_[static_cast<std::size_t>(c)]);
-      group_of_comp_[static_cast<std::size_t>(c)] = best;
-    }
-    bool ok = quotient_acyclic();
-    if (ok && cfg_.device_memory > 0) {
-      std::int64_t params = 0, act = 0;
-      for (std::size_t c = 0; c < group_of_comp_.size(); ++c) {
-        if (group_of_comp_[c] == best) {
-          params += comp_params_[c];
-          act += comp_act_[c];
-        }
+    // The move must fit the target's memory and keep the quotient
+    // acyclic (convex blocks).
+    if (cfg_.device_memory > 0) {
+      std::int64_t params = q_.params(best), act = q_.act(best);
+      for (int c : sub) {
+        params += comp_params_[static_cast<std::size_t>(c)];
+        act += comp_act_[static_cast<std::size_t>(c)];
       }
-      ok = group_mem(params, act) <= cfg_.device_memory;
+      if (group_mem(params, act) > cfg_.device_memory) return;
     }
-    if (!ok) {
-      for (std::size_t i = 0; i < sub.size(); ++i)
-        group_of_comp_[static_cast<std::size_t>(sub[i])] = saved[i];
-    } else {
-      ++result_moves_;
-    }
+    if (q_.would_cycle(sub, best)) return;
+    q_.move(sub, best);
+    ++result_moves_;
   }
 
   // ---- compaction ---------------------------------------------------------
@@ -495,10 +424,11 @@ class Partitioner {
                       gv.mem[static_cast<std::size_t>(w)] >
                   cfg_.device_memory)
             continue;
-          const int target = group_of_comp_[static_cast<std::size_t>(
-              gv.comps[static_cast<std::size_t>(v)].front())];
-          for (int c : gv.comps[static_cast<std::size_t>(w)])
-            group_of_comp_[static_cast<std::size_t>(c)] = target;
+          // Rank-adjacent groups: the check never fires, and costs nothing
+          // (the rank window between v and w is empty).
+          if (q_.would_cycle(gv.comps[static_cast<std::size_t>(w)], v))
+            continue;
+          q_.move(gv.comps[static_cast<std::size_t>(w)], v);
           merged = true;
           ++result_compaction_;
           break;
@@ -579,13 +509,10 @@ class Partitioner {
       // Boundary-side check: no successor (forward) / predecessor
       // (backward) inside the source block.
       bool boundary_free = true;
-      const auto& nbr = forward ? comp_adj_[static_cast<std::size_t>(c)]
-                                : comp_radj_[static_cast<std::size_t>(c)];
-      for (int e : nbr) {
-        const int o = forward ? edges_[static_cast<std::size_t>(e)].to
-                              : edges_[static_cast<std::size_t>(e)].from;
-        if (group_of_comp_[static_cast<std::size_t>(o)] ==
-            group_of_comp_[static_cast<std::size_t>(c)]) {
+      for (int e : forward ? q_.out_edges(c) : q_.in_edges(c)) {
+        const auto [from, to] = q_.edges()[static_cast<std::size_t>(e)];
+        const int o = forward ? to : from;
+        if (q_.group_of(o) == q_.group_of(c)) {
           boundary_free = false;
           break;
         }
@@ -601,14 +528,10 @@ class Partitioner {
     if (cfg_.device_memory > 0 &&
         gv.mem[static_cast<std::size_t>(dst)] + cm > cfg_.device_memory)
       return 0;
-    const int dst_gid = group_of_comp_[static_cast<std::size_t>(
-        gv.comps[static_cast<std::size_t>(dst)].front())];
-    const int src_gid = group_of_comp_[static_cast<std::size_t>(best_comp)];
-    group_of_comp_[static_cast<std::size_t>(best_comp)] = dst_gid;
-    if (!quotient_acyclic()) {  // defensive: reject convexity-breaking moves
-      group_of_comp_[static_cast<std::size_t>(best_comp)] = src_gid;
-      return 0;
-    }
+    // gv ids are group ids: balance_refine moves comps but never renumbers.
+    const int moved[1] = {best_comp};
+    if (q_.would_cycle(moved, dst)) return 0;
+    q_.move(moved, dst);
     gv.time[static_cast<std::size_t>(src)] -= best_tc;
     gv.time[static_cast<std::size_t>(dst)] += best_tc;
     gv.mem[static_cast<std::size_t>(src)] -= cm;
@@ -626,7 +549,7 @@ class Partitioner {
     const int n = static_cast<int>(gv.comps.size());
     BlockPartition bp;
     bp.blocks.resize(static_cast<std::size_t>(n));
-    bp.block_of_comp.resize(group_of_comp_.size());
+    bp.block_of_comp.resize(comp_time_f_.size());
     // Order blocks by topological rank so stage-level DP can treat them as
     // a consecutive sequence (paper Section III-C).
     for (int gid = 0; gid < n; ++gid) {
@@ -646,13 +569,17 @@ class Partitioner {
       }
       std::sort(blk.tasks.begin(), blk.tasks.end());
     }
-    for (const CompEdge& e : edges_)
-      if (bp.block_of_comp[static_cast<std::size_t>(e.from)] !=
-          bp.block_of_comp[static_cast<std::size_t>(e.to)])
-        bp.cut_bytes += e.bytes;
+    for (std::size_t e = 0; e < q_.edges().size(); ++e) {
+      const auto [from, to] = q_.edges()[e];
+      if (bp.block_of_comp[static_cast<std::size_t>(from)] !=
+          bp.block_of_comp[static_cast<std::size_t>(to)])
+        bp.cut_bytes += edge_bytes_[e];
+    }
     bp.coarsen_levels = result_levels_;
     bp.uncoarsen_moves = result_moves_;
     bp.compaction_merges = result_compaction_;
+    bp.cycle_checks = q_.cycle_checks();
+    bp.cycle_check_visits = q_.cycle_check_visits();
     return bp;
   }
 
@@ -664,9 +591,10 @@ class Partitioner {
   BlockPartitionConfig cfg_;
   std::vector<double> comp_time_f_, comp_time_b_;
   std::vector<std::int64_t> comp_params_, comp_act_;
-  std::vector<CompEdge> edges_;
-  std::vector<std::vector<int>> comp_adj_, comp_radj_;  // edge indices
-  std::vector<int> group_of_comp_;
+  std::vector<std::int64_t> edge_bytes_;  ///< by the quotient's edge id
+  QuotientGraph q_;
+  StampSet in_sub_;   ///< try_move's sub-group (comps)
+  StampSet visited_;  ///< indirect_path's search (groups)
   std::vector<LevelHistory> history_;
   int result_levels_ = 0;
   int result_moves_ = 0;

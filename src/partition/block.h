@@ -62,6 +62,9 @@ struct BlockPartition {
   int uncoarsen_moves = 0;
   int compaction_merges = 0;
   std::int64_t cut_bytes = 0;       ///< activation bytes crossing block edges
+  // Phase-2 work: quotient cycle checks and the groups they visited.
+  std::int64_t cycle_checks = 0;
+  std::int64_t cycle_check_visits = 0;
 };
 
 /// Runs block-level partitioning over the atomic partition `ap`.

@@ -6,6 +6,7 @@
 #include "models/bert.h"
 #include "models/mlp.h"
 #include "models/resnet.h"
+#include "obs/metrics.h"
 #include "partition/auto_partitioner.h"
 #include "partition/search.h"
 
@@ -45,6 +46,32 @@ TEST(AutoPartition, TinyBertIsFeasibleAndCoversGraph) {
   EXPECT_GT(r.throughput(cfg.batch_size), 0);
   EXPECT_GT(r.stats.atomic_components, 0u);
   EXPECT_GT(r.stats.dp_invocations, 0);
+}
+
+// The Phase-1/2 story reaches the metrics registry next to the DP
+// counters, and the per-phase wall-clock splits stay inside the total.
+TEST(AutoPartition, PublishesPhaseOneAndTwoMetrics) {
+  BuiltModel m = build_bert(tiny_bert());
+  SearchRequest cfg;
+  cfg.batch_size = 64;
+  obs::MetricsRegistry& reg = obs::metrics();
+  reg.reset();
+  const SearchStats st = auto_partition(m.graph, cfg).plan.stats;
+  EXPECT_EQ(reg.counter("partition.atomic_components").get(),
+            static_cast<std::int64_t>(st.atomic_components));
+  EXPECT_EQ(reg.counter("partition.blocks").get(), st.blocks);
+  EXPECT_EQ(reg.counter("partition.coarsen_levels").get(), st.coarsen_levels);
+  EXPECT_EQ(reg.counter("partition.uncoarsen_moves").get(),
+            st.uncoarsen_moves);
+  EXPECT_EQ(reg.counter("partition.compaction_merges").get(),
+            st.compaction_merges);
+  EXPECT_EQ(reg.counter("partition.cycle_checks").get(), st.cycle_checks);
+  EXPECT_EQ(reg.counter("partition.cycle_check_visits").get(),
+            st.cycle_check_visits);
+  EXPECT_GT(st.cycle_checks, 0);
+  EXPECT_GT(st.phase2_seconds, 0);
+  EXPECT_LE(st.phase1_seconds + st.phase2_seconds + st.search_seconds,
+            st.wall_seconds);
 }
 
 TEST(AutoPartition, DeviceBudgetNeverExceeded) {

@@ -8,9 +8,11 @@
 #include "graph/subgraph.h"
 #include "models/bert.h"
 #include "models/mlp.h"
+#include "models/moe.h"
 #include "models/resnet.h"
 #include "partition/atomic.h"
 #include "partition/block.h"
+#include "partition/search.h"
 
 namespace rannc {
 namespace {
@@ -181,6 +183,100 @@ TEST(BlockPartition, CutBytesAreNonNegativeAndBounded) {
   for (const Block& blk : bp.blocks) total_act += blk.act_bytes;
   EXPECT_GE(bp.cut_bytes, 0);
   EXPECT_LT(bp.cut_bytes, total_act);
+}
+
+// ---- golden digests -------------------------------------------------------
+// FNV-1a over the blocks, block_of_comp, the search counters and the cut
+// (block times follow from the comps). The expected values were
+// recorded with the whole-graph Kahn acyclicity check that preceded the
+// incremental quotient (src/partition/quotient.h); any drift in blocks,
+// their order, the search counters or the cut is a behaviour change.
+std::uint64_t digest(const BlockPartition& bp) {
+  std::uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  mix(bp.blocks.size());
+  for (const Block& blk : bp.blocks) {
+    mix(blk.comps.size());
+    for (int c : blk.comps) mix(static_cast<std::uint64_t>(c));
+    mix(blk.tasks.size());
+    for (TaskId t : blk.tasks) mix(static_cast<std::uint64_t>(t));
+    mix(static_cast<std::uint64_t>(blk.param_bytes));
+    mix(static_cast<std::uint64_t>(blk.act_bytes));
+  }
+  for (int b : bp.block_of_comp) mix(static_cast<std::uint64_t>(b));
+  mix(static_cast<std::uint64_t>(bp.coarsen_levels));
+  mix(static_cast<std::uint64_t>(bp.uncoarsen_moves));
+  mix(static_cast<std::uint64_t>(bp.compaction_merges));
+  mix(static_cast<std::uint64_t>(bp.cut_bytes));
+  return h;
+}
+
+struct Golden {
+  int model;
+  int k;
+  std::uint64_t digest;
+};
+
+class BlockGolden : public ::testing::TestWithParam<Golden> {};
+
+TEST_P(BlockGolden, MatchesRecordedDigest) {
+  const Golden g = GetParam();
+  Built b = prepare(g.model);
+  BlockPartitionConfig cfg;
+  cfg.k = g.k;
+  EXPECT_EQ(digest(block_partition(b.ap, *b.prof, cfg)), g.digest);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ModelsAndK, BlockGolden,
+    ::testing::Values(Golden{0, 4, 0x0ab8b2ac3a78be60ull},
+                      Golden{0, 8, 0x3b6ade465d02bb45ull},
+                      Golden{0, 32, 0x09b5f4913dac55faull},
+                      Golden{1, 4, 0xc5ef648fefd17cd9ull},
+                      Golden{1, 8, 0xb9f2fa580160fdfdull},
+                      Golden{1, 32, 0x766c21d04b9cc3e3ull},
+                      Golden{2, 4, 0x4f24c855fc69c785ull},
+                      Golden{2, 8, 0xd1f18cdc9ea9782eull},
+                      Golden{2, 32, 0x823855aa36cc63bfull}));
+
+/// The perfbench search_moe graph (h512/E64/L8) with the Phase-2 settings
+/// auto_partition uses on a V100 cluster: k = 32, the usable device memory,
+/// balance at microbatch 1.
+BlockPartition moe_partition(std::int64_t layers) {
+  MoeConfig mc;
+  mc.hidden = 512;
+  mc.experts = 64;
+  mc.layers = layers;
+  mc.seq_len = 256;
+  mc.vocab = 4096;
+  const AtomicPartition ap = atomic_partition(build_moe(mc).graph);
+  const SearchRequest req;
+  const GraphProfiler prof(ap.graph, req.cluster.device, req.precision);
+  BlockPartitionConfig cfg;
+  cfg.k = req.num_blocks;
+  cfg.device_memory = req.usable_memory();
+  cfg.profile_batch = 1;
+  return block_partition(ap, prof, cfg);
+}
+
+TEST(BlockGolden, MoeMatchesRecordedDigest) {
+  EXPECT_EQ(digest(moe_partition(8)), 0x01bed174bcc7677aull);
+}
+
+// Complexity guard: doubling the MoE depth doubles the components, and
+// the cycle checks' work must grow about as much. The whole-graph check
+// this replaced grew quadratically; a rank window that stops bounding the
+// searches would too.
+TEST(BlockComplexity, CycleCheckVisitsGrowLinearlyWithDepth) {
+  const BlockPartition l8 = moe_partition(8);
+  const BlockPartition l16 = moe_partition(16);
+  EXPECT_GT(l8.cycle_check_visits, 0);
+  EXPECT_LE(l16.cycle_check_visits, 3 * l8.cycle_check_visits);
 }
 
 }  // namespace

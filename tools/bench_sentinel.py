@@ -34,9 +34,12 @@ the sentinel guards the *deterministic* surface:
                 (exhaustive, sharded-*); the unsharded pruned engine's
                 counters depend on incumbent-cut timing across threads,
                 so it is only required never to visit more cells than
-                exhaustive. The 10x cells/speedup gate is enforced on
-                full-size runs; a --quick rerun checks the small
-                scenarios instead.
+                exhaustive. The Phase-2 counters (cycle_checks,
+                cycle_check_visits) must be identical to the baseline
+                for every engine: block partitioning is single-threaded
+                and runs before pruning or sharding matter. The 10x
+                cells/speedup gate is enforced on full-size runs; a
+                --quick rerun checks the small scenarios instead.
 
 Rows/geometries/phases present only in the baseline (e.g. a --quick run
 covers a subset) are skipped with a note, never failed; invariant gates
@@ -219,6 +222,13 @@ def check_search(s, base, cur):
             if b is None:
                 s.note(f"{key}/{e['label']}: no baseline engine")
                 continue
+            # Phase 2 is single-threaded and engine-independent, so its
+            # work counters are exact for every engine.
+            for field in ("cycle_checks", "cycle_check_visits"):
+                s.expect(
+                    e[field] == b[field],
+                    f"{key}/{e['label']}.{field}: {e[field]} != "
+                    f"baseline {b[field]}")
             if e["label"] == "pruned":
                 # The unsharded incumbent engine's counters depend on cut
                 # timing across worker threads (a stale incumbent read only
