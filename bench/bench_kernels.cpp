@@ -2,6 +2,8 @@
 // kernels used by the execution runtime and the three partitioning phases.
 #include <benchmark/benchmark.h>
 
+#include <array>
+
 #include "rannc.h"
 
 namespace {
@@ -27,26 +29,50 @@ BENCHMARK(BM_MatMul)
     ->Args({64, 0})->Args({128, 0})->Args({256, 0})->Args({512, 0})
     ->Args({256, 1})->Args({512, 1});
 
-void BM_MatMulGradA(benchmark::State& state) {
-  const auto n = state.range(0);
-  KernelPath path(state.range(1) != 0);
-  Tensor g = Tensor::uniform(Shape{n, n}, 1.0f, 1);
-  Tensor b = Tensor::uniform(Shape{n, n}, 1.0f, 2);
-  for (auto _ : state) benchmark::DoNotOptimize(matmul_grad_a(g, b));
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
+/// Uniform [m, n] values with every 331st element (~0.3 %) set to the
+/// subnormal 1e-40f when `subnormal` is set: the share a bert_tiny training
+/// run reaches in its backward GEMM inputs.
+Tensor grad_operand(std::int64_t m, std::int64_t n, std::uint64_t seed,
+                    bool subnormal) {
+  Tensor t = Tensor::uniform(Shape{m, n}, 1.0f, seed);
+  if (subnormal)
+    for (std::int64_t i = 0; i < t.numel(); i += 331) t.at(i) = 1e-40f;
+  return t;
 }
-BENCHMARK(BM_MatMulGradA)->Args({256, 0})->Args({256, 1});
+
+// Backward GEMMs of C[m,n] = A[m,k] x B[k,n]. Args: m, k, n, naive (0 =
+// blocked, 1 = reference loops), subnormal inputs (0/1).
+void BM_MatMulGradA(benchmark::State& state) {
+  const auto m = state.range(0), k = state.range(1), n = state.range(2);
+  KernelPath path(state.range(3) != 0);
+  const bool sub = state.range(4) != 0;
+  Tensor g = grad_operand(m, n, 1, sub);
+  Tensor b = grad_operand(k, n, 2, sub);
+  for (auto _ : state) benchmark::DoNotOptimize(matmul_grad_a(g, b));
+  state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
+}
 
 void BM_MatMulGradB(benchmark::State& state) {
-  const auto n = state.range(0);
-  KernelPath path(state.range(1) != 0);
-  Tensor a = Tensor::uniform(Shape{n, n}, 1.0f, 1);
-  Tensor g = Tensor::uniform(Shape{n, n}, 1.0f, 2);
+  const auto m = state.range(0), k = state.range(1), n = state.range(2);
+  KernelPath path(state.range(3) != 0);
+  const bool sub = state.range(4) != 0;
+  Tensor a = grad_operand(m, k, 1, sub);
+  Tensor g = grad_operand(m, n, 2, sub);
   for (auto _ : state)
-    benchmark::DoNotOptimize(matmul_grad_b(a, g, Shape{n, n}));
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
+    benchmark::DoNotOptimize(matmul_grad_b(a, g, Shape{k, n}));
+  state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
 }
-BENCHMARK(BM_MatMulGradB)->Args({256, 0})->Args({256, 1});
+
+// 256^3, bert_tiny's FFN (64x384x1536) and the mlp's 8-row microbatch
+// (8x1024x1024), the last two also with subnormal inputs.
+void grad_gemm_args(benchmark::internal::Benchmark* b) {
+  b->Args({256, 256, 256, 0, 0})->Args({256, 256, 256, 1, 0});
+  for (const auto& [m, k, n] : {std::array<std::int64_t, 3>{64, 384, 1536},
+                                std::array<std::int64_t, 3>{8, 1024, 1024}})
+    b->Args({m, k, n, 0, 0})->Args({m, k, n, 0, 1});
+}
+BENCHMARK(BM_MatMulGradA)->Apply(grad_gemm_args);
+BENCHMARK(BM_MatMulGradB)->Apply(grad_gemm_args);
 
 void BM_Transpose(benchmark::State& state) {
   const auto n = state.range(0);

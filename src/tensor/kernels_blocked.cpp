@@ -104,13 +104,14 @@ void gemm_rows(const float* A, const float* B, float* C, std::int64_t mt,
   }
 }
 
-// ---- double-accumulator helpers --------------------------------------------
+// ---- conv double-accumulator helpers ---------------------------------------
 //
-// Float products are exact in double, so any fixed lane structure gives the
-// same sum as a sequential double loop up to ~1e-16 relative — which rounds
-// to the same float essentially always. The lane structure below is fixed
-// (8 lanes, summed pairwise, scalar tail appended), so results never depend
-// on thread assignment.
+// axpy_f2d adds one term to every element of a double row, so a sweep of
+// calls keeps each element's sequential order (conv2d, conv2d_grad_x).
+// dot_f2d sums one dot product over 8 fixed lanes, summed pairwise with the
+// scalar tail appended (conv2d_grad_w): float products are exact in double,
+// so it matches a sequential double loop to ~1e-16 relative, and the fixed
+// lane structure keeps it independent of thread assignment.
 
 #ifdef RANNC_KERNELS_AVX2
 
@@ -119,52 +120,6 @@ double hsum4(__m256d v) {
   __m128d hi = _mm256_extractf128_pd(v, 1);
   __m128d s = _mm_add_pd(lo, hi);
   return _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)));
-}
-
-/// out[q] = dot(g, B row q) for 4 consecutive rows of B, double-accumulated.
-void dot4_rows(const float* __restrict g, const float* __restrict B,
-               std::int64_t n, std::int64_t ldb, float* __restrict out) {
-  const float* b0 = B;
-  const float* b1 = B + ldb;
-  const float* b2 = B + 2 * ldb;
-  const float* b3 = B + 3 * ldb;
-  __m256d l0 = _mm256_setzero_pd(), h0 = _mm256_setzero_pd();
-  __m256d l1 = _mm256_setzero_pd(), h1 = _mm256_setzero_pd();
-  __m256d l2 = _mm256_setzero_pd(), h2 = _mm256_setzero_pd();
-  __m256d l3 = _mm256_setzero_pd(), h3 = _mm256_setzero_pd();
-  std::int64_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m256 gv = _mm256_loadu_ps(g + j);
-    const __m256d glo = _mm256_cvtps_pd(_mm256_castps256_ps128(gv));
-    const __m256d ghi = _mm256_cvtps_pd(_mm256_extractf128_ps(gv, 1));
-    __m256 bv = _mm256_loadu_ps(b0 + j);
-    l0 = _mm256_fmadd_pd(glo, _mm256_cvtps_pd(_mm256_castps256_ps128(bv)), l0);
-    h0 = _mm256_fmadd_pd(ghi, _mm256_cvtps_pd(_mm256_extractf128_ps(bv, 1)), h0);
-    bv = _mm256_loadu_ps(b1 + j);
-    l1 = _mm256_fmadd_pd(glo, _mm256_cvtps_pd(_mm256_castps256_ps128(bv)), l1);
-    h1 = _mm256_fmadd_pd(ghi, _mm256_cvtps_pd(_mm256_extractf128_ps(bv, 1)), h1);
-    bv = _mm256_loadu_ps(b2 + j);
-    l2 = _mm256_fmadd_pd(glo, _mm256_cvtps_pd(_mm256_castps256_ps128(bv)), l2);
-    h2 = _mm256_fmadd_pd(ghi, _mm256_cvtps_pd(_mm256_extractf128_ps(bv, 1)), h2);
-    bv = _mm256_loadu_ps(b3 + j);
-    l3 = _mm256_fmadd_pd(glo, _mm256_cvtps_pd(_mm256_castps256_ps128(bv)), l3);
-    h3 = _mm256_fmadd_pd(ghi, _mm256_cvtps_pd(_mm256_extractf128_ps(bv, 1)), h3);
-  }
-  double s0 = hsum4(_mm256_add_pd(l0, h0));
-  double s1 = hsum4(_mm256_add_pd(l1, h1));
-  double s2 = hsum4(_mm256_add_pd(l2, h2));
-  double s3 = hsum4(_mm256_add_pd(l3, h3));
-  for (; j < n; ++j) {
-    const double gv = g[j];
-    s0 += gv * b0[j];
-    s1 += gv * b1[j];
-    s2 += gv * b2[j];
-    s3 += gv * b3[j];
-  }
-  out[0] = static_cast<float>(s0);
-  out[1] = static_cast<float>(s1);
-  out[2] = static_cast<float>(s2);
-  out[3] = static_cast<float>(s3);
 }
 
 /// dot(a, b) over len floats, double-accumulated.
@@ -203,21 +158,6 @@ void axpy_f2d(double* __restrict acc, const float* __restrict x, double w,
 }
 
 #else  // !RANNC_KERNELS_AVX2
-
-void dot4_rows(const float* __restrict g, const float* __restrict B,
-               std::int64_t n, std::int64_t ldb, float* __restrict out) {
-  for (std::int64_t q = 0; q < 4; ++q) {
-    const float* b = B + q * ldb;
-    double l[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-    std::int64_t j = 0;
-    for (; j + 8 <= n; j += 8)
-      for (std::int64_t t = 0; t < 8; ++t)
-        l[t] += static_cast<double>(g[j + t]) * b[j + t];
-    double s = ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]));
-    for (; j < n; ++j) s += static_cast<double>(g[j]) * b[j];
-    out[q] = static_cast<float>(s);
-  }
-}
 
 double dot_f2d(const float* __restrict a, const float* __restrict b,
                std::int64_t len) {
@@ -265,93 +205,234 @@ void blocked_matmul(const float* A, const float* B, float* C, std::int64_t ba,
   });
 }
 
-// ---- matmul_grad_a: DA = G x B^T --------------------------------------------
+namespace {
 
-void blocked_matmul_grad_a(const float* G, const float* B, float* DA,
-                           std::int64_t bg, std::int64_t m, std::int64_t n,
-                           std::int64_t k, bool shared_b, ThreadPool& pool) {
-  // Parallel unit: a (batch, contiguous kk-chunk) pair. Looping kk outside
-  // the m output rows keeps each group of B rows resident while all m dots
-  // against it run, so B streams through cache once per chunk instead of
-  // once per output row. Every DA element is still one dot with a fixed
-  // association, so any chunking or thread count is bit-identical.
-  constexpr std::int64_t kChunk = 128;
-  const std::int64_t chunks = (k + kChunk - 1) / kChunk;
-  pool.parallel_for(0, bg * chunks, [&](std::int64_t u0, std::int64_t u1) {
+// ---- backward GEMMs: DA = G x B^T and DB = A^T x G --------------------------
+//
+// Both gradients run through one packed-panel GEMM, C = X x Y, whose
+// operands are read through strides, so the transposed operand is never
+// materialized. Each parallel unit owns a kUnitRows x kUnitCols block of C
+// (2-D, so a skinny product still spreads over the pool). It packs kKT terms
+// of its X rows and Y columns into zero-padded double panels, converting each
+// float once, and runs a kTR x kTC register tile over them. Every C element
+// is one sequential double sum over ascending p, rounded to float once: the
+// naive references' order. Float products are exact in double, so
+// fma(x, y, acc) equals acc + x*y, and the result is bit-identical to the
+// reference whatever the tiling or thread count. No product is formed in
+// float, so subnormal inputs take no microcode assists.
+
+constexpr std::int64_t kTR = 4;          // register tile rows
+constexpr std::int64_t kTC = 12;         // register tile columns
+constexpr std::int64_t kKT = 128;        // p terms packed at a time
+constexpr std::int64_t kUnitRows = 32;   // C rows per parallel unit
+constexpr std::int64_t kUnitCols = 96;   // C columns per parallel unit
+
+/// Read-only float operand: element (b, r, c) sits at p[b*bs + r*rs + c*cs].
+struct Strided {
+  const float* p;
+  std::int64_t bs, rs, cs;
+};
+
+/// A unit's pack panels and its running sums between term blocks (152 KiB).
+struct alignas(64) GemmScratch {
+  double x[kUnitRows * kKT];
+  double y[kKT * kUnitCols];
+  double acc[kUnitRows * kUnitCols];
+};
+
+/// dst[t*W + l] = src[t*st + l*sl] for w <= W lanes and kc terms; lanes
+/// w..W are zero.
+template <std::int64_t W>
+void pack_panel(const float* src, std::int64_t sl, std::int64_t st,
+                std::int64_t w, std::int64_t kc, double* __restrict dst) {
+  std::int64_t t0 = 0;
+#ifdef RANNC_KERNELS_AVX2
+  static_assert(W % 4 == 0);
+  if (w == W && sl == 1) {  // lanes contiguous: convert 4 at a time
+    for (std::int64_t t = 0; t < kc; ++t)
+      for (std::int64_t l = 0; l < W; l += 4)
+        _mm256_store_pd(dst + t * W + l,
+                        _mm256_cvtps_pd(_mm_loadu_ps(src + t * st + l)));
+    return;
+  }
+  if (w == W && st == 1) {  // terms contiguous: 4x4 transposes
+    for (; t0 + 4 <= kc; t0 += 4)
+      for (std::int64_t l = 0; l < W; l += 4) {
+        const float* s = src + l * sl + t0;
+        __m128 r0 = _mm_loadu_ps(s), r1 = _mm_loadu_ps(s + sl);
+        __m128 r2 = _mm_loadu_ps(s + 2 * sl), r3 = _mm_loadu_ps(s + 3 * sl);
+        _MM_TRANSPOSE4_PS(r0, r1, r2, r3);
+        double* d = dst + t0 * W + l;
+        _mm256_store_pd(d, _mm256_cvtps_pd(r0));
+        _mm256_store_pd(d + W, _mm256_cvtps_pd(r1));
+        _mm256_store_pd(d + 2 * W, _mm256_cvtps_pd(r2));
+        _mm256_store_pd(d + 3 * W, _mm256_cvtps_pd(r3));
+      }
+  }
+#endif
+  for (std::int64_t t = t0; t < kc; ++t) {
+    const float* s = src + t * st;
+    double* d = dst + t * W;
+    std::int64_t l = 0;
+    for (; l < w; ++l) d[l] = s[l * sl];
+    for (; l < W; ++l) d[l] = 0.0;
+  }
+}
+
+// micro_tile: one kTR x kTC tile of C over kc packed terms. It starts from
+// zero on the first term block and from `acc` otherwise; it ends in `acc`, or
+// on the last term block rounded into the mr x nr valid corner of C.
+
+#ifdef RANNC_KERNELS_AVX2
+
+void micro_tile(const double* __restrict xp, const double* __restrict yp,
+                std::int64_t kc, bool first, bool last, double* __restrict acc,
+                float* __restrict c, std::int64_t ldc, std::int64_t mr,
+                std::int64_t nr) {
+  static_assert(kTR == 4 && kTC == 12);
+  // Twelve accumulators (row, vector) as named values: GCC keeps them in
+  // registers, where an array of them is stored back every iteration.
+  const auto ld = [&](std::int64_t r, std::int64_t v) {
+    return first ? _mm256_setzero_pd()
+                 : _mm256_load_pd(acc + r * kUnitCols + 4 * v);
+  };
+  __m256d c00 = ld(0, 0), c01 = ld(0, 1), c02 = ld(0, 2);
+  __m256d c10 = ld(1, 0), c11 = ld(1, 1), c12 = ld(1, 2);
+  __m256d c20 = ld(2, 0), c21 = ld(2, 1), c22 = ld(2, 2);
+  __m256d c30 = ld(3, 0), c31 = ld(3, 1), c32 = ld(3, 2);
+  for (std::int64_t p = 0; p < kc; ++p) {
+    const double* yr = yp + p * kTC;
+    const double* xr = xp + p * kTR;
+    const __m256d y0 = _mm256_load_pd(yr);
+    const __m256d y1 = _mm256_load_pd(yr + 4);
+    const __m256d y2 = _mm256_load_pd(yr + 8);
+    __m256d x = _mm256_broadcast_sd(xr);
+    c00 = _mm256_fmadd_pd(x, y0, c00);
+    c01 = _mm256_fmadd_pd(x, y1, c01);
+    c02 = _mm256_fmadd_pd(x, y2, c02);
+    x = _mm256_broadcast_sd(xr + 1);
+    c10 = _mm256_fmadd_pd(x, y0, c10);
+    c11 = _mm256_fmadd_pd(x, y1, c11);
+    c12 = _mm256_fmadd_pd(x, y2, c12);
+    x = _mm256_broadcast_sd(xr + 2);
+    c20 = _mm256_fmadd_pd(x, y0, c20);
+    c21 = _mm256_fmadd_pd(x, y1, c21);
+    c22 = _mm256_fmadd_pd(x, y2, c22);
+    x = _mm256_broadcast_sd(xr + 3);
+    c30 = _mm256_fmadd_pd(x, y0, c30);
+    c31 = _mm256_fmadd_pd(x, y1, c31);
+    c32 = _mm256_fmadd_pd(x, y2, c32);
+  }
+  const __m256d t[kTR][3] = {
+      {c00, c01, c02}, {c10, c11, c12}, {c20, c21, c22}, {c30, c31, c32}};
+  if (last && mr == kTR && nr == kTC) {
+    for (std::int64_t r = 0; r < kTR; ++r)
+      for (std::int64_t v = 0; v < 3; ++v)
+        _mm_storeu_ps(c + r * ldc + 4 * v, _mm256_cvtpd_ps(t[r][v]));
+    return;
+  }
+  for (std::int64_t r = 0; r < kTR; ++r)
+    for (std::int64_t v = 0; v < 3; ++v)
+      _mm256_store_pd(acc + r * kUnitCols + 4 * v, t[r][v]);
+  if (last)  // a ragged edge tile
+    for (std::int64_t r = 0; r < mr; ++r)
+      for (std::int64_t j = 0; j < nr; ++j)
+        c[r * ldc + j] = static_cast<float>(acc[r * kUnitCols + j]);
+}
+
+#else  // !RANNC_KERNELS_AVX2
+
+void micro_tile(const double* __restrict xp, const double* __restrict yp,
+                std::int64_t kc, bool first, bool last, double* __restrict acc,
+                float* __restrict c, std::int64_t ldc, std::int64_t mr,
+                std::int64_t nr) {
+  double t[kTR][kTC];
+  for (std::int64_t r = 0; r < kTR; ++r)
+    for (std::int64_t j = 0; j < kTC; ++j)
+      t[r][j] = first ? 0.0 : acc[r * kUnitCols + j];
+  for (std::int64_t p = 0; p < kc; ++p)
+    for (std::int64_t r = 0; r < kTR; ++r) {
+      const double x = xp[p * kTR + r];
+      for (std::int64_t j = 0; j < kTC; ++j) t[r][j] += x * yp[p * kTC + j];
+    }
+  if (!last) {
+    for (std::int64_t r = 0; r < kTR; ++r)
+      for (std::int64_t j = 0; j < kTC; ++j) acc[r * kUnitCols + j] = t[r][j];
+    return;
+  }
+  for (std::int64_t r = 0; r < mr; ++r)
+    for (std::int64_t j = 0; j < nr; ++j)
+      c[r * ldc + j] = static_cast<float>(t[r][j]);
+}
+
+#endif  // RANNC_KERNELS_AVX2
+
+/// One unit: the mt x nt block of C at c (row stride ldc) from X rows at
+/// x.p and Y columns at y.p, summed over all P terms.
+void gemm_unit(const Strided& x, const Strided& y, float* c, std::int64_t ldc,
+               std::int64_t mt, std::int64_t nt, std::int64_t P,
+               GemmScratch& s) {
+  for (std::int64_t p0 = 0; p0 < P; p0 += kKT) {
+    const std::int64_t kc = std::min(kKT, P - p0);
+    for (std::int64_t j = 0; j < nt; j += kTC)
+      pack_panel<kTC>(y.p + p0 * y.rs + j * y.cs, y.cs, y.rs,
+                      std::min(kTC, nt - j), kc, s.y + j * kc);
+    for (std::int64_t i = 0; i < mt; i += kTR)
+      pack_panel<kTR>(x.p + i * x.rs + p0 * x.cs, x.rs, x.cs,
+                      std::min(kTR, mt - i), kc, s.x + i * kc);
+    for (std::int64_t j = 0; j < nt; j += kTC)
+      for (std::int64_t i = 0; i < mt; i += kTR)
+        micro_tile(s.x + i * kc, s.y + j * kc, kc, p0 == 0, p0 + kc == P,
+                   s.acc + i * kUnitCols + j, c + i * ldc + j, ldc,
+                   std::min(kTR, mt - i), std::min(kTC, nt - j));
+  }
+}
+
+/// C[b] = X[b] x Y[b] for `batches` products of [M,P] x [P,N]; C is
+/// contiguous [batches, M, N] and need not be initialized.
+void gemm_f2d(const Strided& x, const Strided& y, float* C,
+              std::int64_t batches, std::int64_t M, std::int64_t N,
+              std::int64_t P, ThreadPool& pool) {
+  if (P == 0) {
+    std::fill_n(C, batches * M * N, 0.0f);
+    return;
+  }
+  const std::int64_t row_units = (M + kUnitRows - 1) / kUnitRows;
+  const std::int64_t col_units = (N + kUnitCols - 1) / kUnitCols;
+  const std::int64_t per_batch = row_units * col_units;
+  pool.parallel_for(0, batches * per_batch, [&](std::int64_t u0,
+                                                std::int64_t u1) {
+    // On the stack: pipeline stage threads live for one step, and a heap
+    // buffer per thread cost ~2 MiB of peak RSS in allocator churn.
+    GemmScratch scratch;
     for (std::int64_t u = u0; u < u1; ++u) {
-      const std::int64_t bi = u / chunks;
-      const std::int64_t c0 = (u % chunks) * kChunk;
-      const std::int64_t c1 = c0 + kChunk < k ? c0 + kChunk : k;
-      const float* gmat = G + bi * m * n;
-      const float* bmat = B + (shared_b ? 0 : bi * k * n);
-      float* damat = DA + bi * m * k;
-      std::int64_t kk = c0;
-      for (; kk + 4 <= c1; kk += 4)
-        for (std::int64_t r = 0; r < m; ++r)
-          dot4_rows(gmat + r * n, bmat + kk * n, n, n, damat + r * k + kk);
-      for (; kk < c1; ++kk)
-        for (std::int64_t r = 0; r < m; ++r)
-          damat[r * k + kk] =
-              static_cast<float>(dot_f2d(gmat + r * n, bmat + kk * n, n));
+      const std::int64_t b = u / per_batch;
+      const std::int64_t i0 = (u % per_batch) / col_units * kUnitRows;
+      const std::int64_t j0 = (u % col_units) * kUnitCols;
+      gemm_unit({x.p + b * x.bs + i0 * x.rs, 0, x.rs, x.cs},
+                {y.p + b * y.bs + j0 * y.cs, 0, y.rs, y.cs},
+                C + (b * M + i0) * N + j0, N, std::min(kUnitRows, M - i0),
+                std::min(kUnitCols, N - j0), P, scratch);
     }
   });
 }
 
-// ---- matmul_grad_b: DB = A^T x G --------------------------------------------
-
-namespace {
-
-/// One DB row (fixed kk): sum over rows r of A[r][kk] * G row r. Rows are
-/// processed in ascending groups of four with a fixed pairwise association,
-/// so the result is the same for every thread assignment.
-void gb_row(const float* A, const float* G, float* dbrow, std::int64_t rows,
-            std::int64_t k, std::int64_t n, std::int64_t kk) {
-  std::fill_n(dbrow, n, 0.0f);
-  std::int64_t r = 0;
-  for (; r + 4 <= rows; r += 4) {
-    const float a0 = A[r * k + kk];
-    const float a1 = A[(r + 1) * k + kk];
-    const float a2 = A[(r + 2) * k + kk];
-    const float a3 = A[(r + 3) * k + kk];
-    if (a0 == 0.0f && a1 == 0.0f && a2 == 0.0f && a3 == 0.0f) continue;
-    const float* __restrict g0 = G + r * n;
-    const float* __restrict g1 = g0 + n;
-    const float* __restrict g2 = g1 + n;
-    const float* __restrict g3 = g2 + n;
-    float* __restrict d = dbrow;
-    for (std::int64_t j = 0; j < n; ++j)
-      d[j] += (a0 * g0[j] + a1 * g1[j]) + (a2 * g2[j] + a3 * g3[j]);
-  }
-  for (; r < rows; ++r) {
-    const float av = A[r * k + kk];
-    if (av == 0.0f) continue;
-    const float* __restrict g = G + r * n;
-    float* __restrict d = dbrow;
-    for (std::int64_t j = 0; j < n; ++j) d[j] += av * g[j];
-  }
-}
-
 }  // namespace
+
+void blocked_matmul_grad_a(const float* G, const float* B, float* DA,
+                           std::int64_t bg, std::int64_t m, std::int64_t n,
+                           std::int64_t k, bool shared_b, ThreadPool& pool) {
+  // X = G, Y(p, j) = B[j][p]. A shared B folds the batches into rows.
+  gemm_f2d({G, m * n, n, 1}, {B, k * n, 1, n}, DA, shared_b ? 1 : bg,
+           shared_b ? bg * m : m, k, n, pool);
+}
 
 void blocked_matmul_grad_b(const float* A, const float* G, float* DB,
                            std::int64_t ba, std::int64_t m, std::int64_t k,
                            std::int64_t n, bool shared_b, ThreadPool& pool) {
-  if (shared_b) {
-    pool.parallel_for(0, k, [&](std::int64_t k0, std::int64_t k1) {
-      for (std::int64_t kk = k0; kk < k1; ++kk)
-        gb_row(A, G, DB + kk * n, ba * m, k, n, kk);
-    });
-  } else {
-    pool.parallel_for(0, ba, [&](std::int64_t b0, std::int64_t b1) {
-      for (std::int64_t bi = b0; bi < b1; ++bi) {
-        const float* amat = A + bi * m * k;
-        const float* gmat = G + bi * m * n;
-        float* dbmat = DB + bi * k * n;
-        for (std::int64_t kk = 0; kk < k; ++kk)
-          gb_row(amat, gmat, dbmat + kk * n, m, k, n, kk);
-      }
-    });
-  }
+  // X(i, p) = A[p][i], Y = G. A shared B sums the terms of every batch.
+  gemm_f2d({A, m * k, 1, k}, {G, m * n, n, 1}, DB, shared_b ? 1 : ba, k, n,
+           shared_b ? ba * m : m, pool);
 }
 
 // ---- conv2d ----------------------------------------------------------------

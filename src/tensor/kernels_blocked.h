@@ -9,9 +9,17 @@
 // fixed function of the problem shape only, every output element is
 // produced by exactly one unit, and the floating-point reduction order per
 // element never depends on how units are assigned to threads — results are
-// bit-identical at any thread-pool size. The double-accumulator kernels
-// (matmul_grad_a, the conv family) are additionally bit-identical to their
-// naive references, because float products are exact in double.
+// bit-identical at any thread-pool size.
+//
+// matmul_grad_a and matmul_grad_b run on one packed-panel GEMM in which
+// every output element is a single double sum over ascending terms, rounded
+// to float once: the naive references' order. Float products are exact in
+// double, so an FMA equals the reference's acc + a*b and both gradients are
+// bit-identical to their references by construction; with no product formed
+// in float, subnormal inputs cost nothing extra. conv2d and conv2d_grad_x
+// keep the references' per-element double order too. The forward matmul
+// (float) and conv2d_grad_w (fixed double lanes) match their references to
+// rounding only.
 //
 // This translation unit is compiled -O3 and, where the toolchain allows,
 // -mavx2 -mfma (see src/tensor/CMakeLists.txt and the
@@ -34,7 +42,8 @@ void blocked_matmul(const float* A, const float* B, float* C, std::int64_t ba,
                     std::int64_t m, std::int64_t k, std::int64_t n,
                     bool shared_b, ThreadPool& pool);
 
-/// DA[bg,m,k] = G[bg,m,n] x B^T (B is [k,n] or [bg,k,n]).
+/// DA[bg,m,k] = G[bg,m,n] x B^T (B is [k,n] or [bg,k,n]); DA need not be
+/// initialized.
 void blocked_matmul_grad_a(const float* G, const float* B, float* DA,
                            std::int64_t bg, std::int64_t m, std::int64_t n,
                            std::int64_t k, bool shared_b, ThreadPool& pool);

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "tensor/kernels_blocked.h"
@@ -211,7 +212,7 @@ Tensor matmul_grad_b(const Tensor& a, const Tensor& g, const Shape& b_shape) {
   split3(b_shape, bb, kb, nb);
   check(kb == k && nb == n, "matmul_grad_b: b_shape mismatch");
 
-  Tensor db(b_shape, 0.0f);
+  Tensor db(b_shape);
   const float* A = a.data();
   const float* G = g.data();
   float* DB = db.data();
@@ -224,40 +225,28 @@ Tensor matmul_grad_b(const Tensor& a, const Tensor& g, const Shape& b_shape) {
                                   kernel_pool());
     return db;
   }
-  if (bb == 1) {
-    // Shared rhs: db[k,n] = sum over all batches of a^T g. Parallel over k
-    // rows of db; each row reduction is sequential -> deterministic.
-    kernel_pool().parallel_for(
-        0, k, [&](std::int64_t k0, std::int64_t k1) {
-          for (std::int64_t kk = k0; kk < k1; ++kk) {
-            float* dbrow = DB + kk * n;
-            for (std::int64_t r = 0; r < ba * m; ++r) {
-              const float av = A[r * k + kk];
-              if (av == 0.0f) continue;
-              const float* grow = G + r * n;
-              for (std::int64_t j = 0; j < n; ++j) dbrow[j] += av * grow[j];
-            }
+  // Each DB element is one sequential double sum over rows in ascending
+  // order (every batch's rows when the rhs is shared), rounded to float once.
+  const std::int64_t rows = bb == 1 ? ba * m : m;
+  kernel_pool().parallel_for(
+      0, bb * k, [&](std::int64_t u0, std::int64_t u1) {
+        std::vector<double> acc(static_cast<std::size_t>(n));
+        for (std::int64_t u = u0; u < u1; ++u) {
+          const std::int64_t bi = u / k, kk = u % k;
+          const float* amat = A + bi * m * k;
+          const float* gmat = G + bi * m * n;
+          std::fill(acc.begin(), acc.end(), 0.0);
+          for (std::int64_t r = 0; r < rows; ++r) {
+            const double av = amat[r * k + kk];
+            const float* grow = gmat + r * n;
+            for (std::int64_t j = 0; j < n; ++j)
+              acc[static_cast<std::size_t>(j)] += av * grow[j];
           }
-        });
-  } else {
-    kernel_pool().parallel_for(
-        0, bb, [&](std::int64_t b0, std::int64_t b1) {
-          for (std::int64_t bi = b0; bi < b1; ++bi) {
-            const float* amat = A + bi * m * k;
-            const float* gmat = G + bi * m * n;
-            float* dbmat = DB + bi * k * n;
-            for (std::int64_t r = 0; r < m; ++r) {
-              for (std::int64_t kk = 0; kk < k; ++kk) {
-                const float av = amat[r * k + kk];
-                if (av == 0.0f) continue;
-                const float* grow = gmat + r * n;
-                float* dbrow = dbmat + kk * n;
-                for (std::int64_t j = 0; j < n; ++j) dbrow[j] += av * grow[j];
-              }
-            }
-          }
-        });
-  }
+          float* dbrow = DB + u * n;
+          for (std::int64_t j = 0; j < n; ++j)
+            dbrow[j] = static_cast<float>(acc[static_cast<std::size_t>(j)]);
+        }
+      });
   return db;
 }
 

@@ -4,10 +4,12 @@
 // thread counts) and the slab arena.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "tensor/ops.h"
@@ -284,15 +286,64 @@ bool bit_equal(const Tensor& a, const Tensor& b) {
 struct MmCase {
   std::int64_t ba, m, k, n;
   bool shared_b;
+  bool subnormal = false;  // ~0.3 % of A and G set to 1e-40f
 };
 
-// Ragged sizes on purpose: every tile/vector tail path gets exercised.
+// Ragged sizes on purpose: every tile/vector tail path gets exercised. Then
+// bert_tiny's GEMMs (projections, FFN up/down, MLM head, 6-head attention
+// per batch and with a shared rhs), the mlp's skinny 8-row microbatch, and
+// one case with subnormal inputs.
 const std::vector<MmCase> kMmCatalog = {
-    {1, 1, 1, 1, true},      {1, 4, 16, 16, true},   {1, 33, 385, 130, true},
-    {2, 7, 19, 23, true},    {3, 64, 64, 64, false}, {1, 128, 384, 384, true},
-    {4, 5, 3, 2, false},     {1, 1, 512, 1, true},   {2, 31, 17, 257, true},
-    {1, 63, 300, 15, true},  {2, 8, 1, 8, false},
+    {1, 1, 1, 1, true},       {1, 4, 16, 16, true},    {1, 33, 385, 130, true},
+    {2, 7, 19, 23, true},     {3, 64, 64, 64, false},  {1, 128, 384, 384, true},
+    {4, 5, 3, 2, false},      {1, 1, 512, 1, true},    {2, 31, 17, 257, true},
+    {1, 63, 300, 15, true},   {2, 8, 1, 8, false},     {1, 64, 384, 384, true},
+    {1, 64, 384, 1536, true}, {1, 64, 384, 512, true}, {1, 64, 1536, 384, true},
+    {6, 64, 64, 64, false},   {6, 64, 64, 64, true},   {1, 8, 1024, 1024, true},
+    {1, 64, 384, 1536, true, true},
 };
+
+/// Sets every 331st element to a subnormal float.
+void sprinkle_subnormals(Tensor& t) {
+  for (std::int64_t i = 0; i < t.numel(); i += 331) t.at(i) = 1e-40f;
+}
+
+// Test-local oracles for the GEMM gradients: every element is one
+// sequential double sum over ascending terms, rounded to float once.
+
+/// DA[b,i,q] = sum_j G[b,i,j] * B[b or 0, q, j].
+Tensor oracle_grad_a(const Tensor& g, const Tensor& b, const MmCase& c) {
+  Tensor da(Shape{c.ba, c.m, c.k});
+  for (std::int64_t bi = 0; bi < c.ba; ++bi)
+    for (std::int64_t i = 0; i < c.m; ++i)
+      for (std::int64_t q = 0; q < c.k; ++q) {
+        const float* grow = g.data() + (bi * c.m + i) * c.n;
+        const float* brow = b.data() + ((c.shared_b ? 0 : bi) * c.k + q) * c.n;
+        double acc = 0;
+        for (std::int64_t j = 0; j < c.n; ++j)
+          acc += static_cast<double>(grow[j]) * static_cast<double>(brow[j]);
+        da.at((bi * c.m + i) * c.k + q) = static_cast<float>(acc);
+      }
+  return da;
+}
+
+/// DB[b,q,j] = sum_r A[b,r,q] * G[b,r,j]; a shared rhs sums the rows of
+/// every batch, batch-major.
+Tensor oracle_grad_b(const Tensor& a, const Tensor& g, const MmCase& c) {
+  const std::int64_t outs = c.shared_b ? 1 : c.ba;
+  const std::int64_t rows = c.shared_b ? c.ba * c.m : c.m;
+  Tensor db(c.shared_b ? Shape{c.k, c.n} : Shape{c.ba, c.k, c.n});
+  for (std::int64_t bi = 0; bi < outs; ++bi)
+    for (std::int64_t q = 0; q < c.k; ++q)
+      for (std::int64_t j = 0; j < c.n; ++j) {
+        double acc = 0;
+        for (std::int64_t r = 0; r < rows; ++r)
+          acc += static_cast<double>(a.at((bi * c.m + r) * c.k + q)) *
+                 static_cast<double>(g.at((bi * c.m + r) * c.n + j));
+        db.at((bi * c.k + q) * c.n + j) = static_cast<float>(acc);
+      }
+  return db;
+}
 
 TEST(KernelParity, MatmulFamilyMatchesNaiveOverCatalog) {
   for (const MmCase& c : kMmCatalog) {
@@ -301,11 +352,13 @@ TEST(KernelParity, MatmulFamilyMatchesNaiveOverCatalog) {
     Tensor b = c.shared_b
                    ? Tensor::uniform(Shape{c.k, c.n}, 1.0f, 7 * c.n + 1)
                    : Tensor::uniform(Shape{c.ba, c.k, c.n}, 1.0f, 7 * c.n + 1);
+    if (c.subnormal) sprinkle_subnormals(a);
     Tensor cn, dan, dbn, g;
     {
       NaiveScope naive(true);
       cn = matmul(a, b);
       g = Tensor::uniform(cn.shape(), 1.0f, 99);
+      if (c.subnormal) sprinkle_subnormals(g);
       dan = matmul_grad_a(g, b);
       dbn = matmul_grad_b(a, g, b.shape());
     }
@@ -315,11 +368,22 @@ TEST(KernelParity, MatmulFamilyMatchesNaiveOverCatalog) {
     const std::string at = "case ba=" + std::to_string(c.ba) +
                            " m=" + std::to_string(c.m) +
                            " k=" + std::to_string(c.k) +
-                           " n=" + std::to_string(c.n);
-    EXPECT_LE(max_abs_diff(cn, cb), 1e-5f) << at;
-    EXPECT_LE(max_abs_diff(dbn, dbb), 1e-5f) << at;
-    // grad_a double-accumulates in both paths: exactly equal, not just close.
-    EXPECT_TRUE(bit_equal(dan, dab)) << at;
+                           " n=" + std::to_string(c.n) +
+                           (c.shared_b ? " shared" : " batched") +
+                           (c.subnormal ? " subnormal" : "");
+    // The forward GEMM accumulates in float in a different order than the
+    // reference, so its rounding error grows with the reduction length.
+    EXPECT_LE(max_abs_diff(cn, cb),
+              1e-5f * std::max(1.0f, static_cast<float>(c.k) / 512.0f))
+        << at;
+    // Both gradients double-accumulate in one sequential order on both
+    // paths: exactly equal to each other and to the oracle, not just close.
+    const Tensor dao = oracle_grad_a(g, b, c);
+    const Tensor dbo = oracle_grad_b(a, g, c);
+    EXPECT_TRUE(bit_equal(dan, dao)) << at;
+    EXPECT_TRUE(bit_equal(dab, dao)) << at;
+    EXPECT_TRUE(bit_equal(dbn, dbo)) << at;
+    EXPECT_TRUE(bit_equal(dbb, dbo)) << at;
   }
 }
 
@@ -407,18 +471,28 @@ TEST(KernelParity, BlockedResultsBitIdenticalAcrossThreadCounts) {
   Tensor w = Tensor::uniform(Shape{4, 3, 3, 3}, 1.0f, 5);
   Tensor y1 = conv2d(x, w, 1, 1);
   Tensor t1 = transpose(a, {0, 2, 1});
+  // Skinny: one row of units in grad_a, 8-term sums in grad_b.
+  Tensor sa = Tensor::uniform(Shape{8, 600}, 1.0f, 6);
+  Tensor sb = Tensor::uniform(Shape{600, 520}, 1.0f, 7);
+  Tensor sg = Tensor::uniform(Shape{8, 520}, 1.0f, 8);
+  Tensor sda1 = matmul_grad_a(sg, sb);
+  Tensor sdb1 = matmul_grad_b(sa, sg, sb.shape());
   set_kernel_pool(&wide);
   Tensor c2 = matmul(a, b);
   Tensor da2 = matmul_grad_a(g, b);
   Tensor db2 = matmul_grad_b(a, g, b.shape());
   Tensor y2 = conv2d(x, w, 1, 1);
   Tensor t2 = transpose(a, {0, 2, 1});
+  Tensor sda2 = matmul_grad_a(sg, sb);
+  Tensor sdb2 = matmul_grad_b(sa, sg, sb.shape());
   set_kernel_pool(nullptr);
   EXPECT_TRUE(bit_equal(c1, c2));
   EXPECT_TRUE(bit_equal(da1, da2));
   EXPECT_TRUE(bit_equal(db1, db2));
   EXPECT_TRUE(bit_equal(y1, y2));
   EXPECT_TRUE(bit_equal(t1, t2));
+  EXPECT_TRUE(bit_equal(sda1, sda2));
+  EXPECT_TRUE(bit_equal(sdb1, sdb2));
 }
 
 // ---- arena ------------------------------------------------------------------
