@@ -427,6 +427,7 @@ SearchResult auto_partition(const TaskGraph& model, const SearchRequest& req) {
       res.stats.blocks = static_cast<int>(bp.blocks.size());
       res.stats.coarsen_levels = bp.coarsen_levels;
       res.stats.uncoarsen_moves = bp.uncoarsen_moves;
+      res.stats.balance_moves = bp.balance_moves;
       res.stats.compaction_merges = bp.compaction_merges;
       res.stats.cycle_checks = bp.cycle_checks;
       res.stats.cycle_check_visits = bp.cycle_check_visits;
@@ -827,6 +828,7 @@ SearchResult auto_partition(const TaskGraph& model, const SearchRequest& req) {
     m.counter("partition.blocks").add(res.stats.blocks);
     m.counter("partition.coarsen_levels").add(res.stats.coarsen_levels);
     m.counter("partition.uncoarsen_moves").add(res.stats.uncoarsen_moves);
+    m.counter("partition.balance_moves").add(res.stats.balance_moves);
     m.counter("partition.compaction_merges").add(res.stats.compaction_merges);
     m.counter("partition.cycle_checks").add(res.stats.cycle_checks);
     m.counter("partition.cycle_check_visits")

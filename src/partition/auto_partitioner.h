@@ -129,7 +129,10 @@ struct SearchStats {
   std::size_t cloned_constant_tasks = 0;
   int blocks = 0;
   int coarsen_levels = 0;
+  /// Uncoarsening plus balance-refinement moves
+  /// (BlockPartition::uncoarsen_moves); balance_moves is the second part.
   int uncoarsen_moves = 0;
+  int balance_moves = 0;
   int compaction_merges = 0;
   /// Phase-2 quotient cycle checks and the groups they visited
   /// (BlockPartition::cycle_checks / cycle_check_visits).

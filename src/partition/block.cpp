@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <deque>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 
+#include "obs/trace.h"
 #include "partition/quotient.h"
 #include "util/stamp_set.h"
 
@@ -13,8 +15,8 @@ namespace rannc {
 namespace {
 
 /// Working state shared by the three steps. Groups live in a QuotientGraph
-/// (assignment comp -> group id, arcs, topological order); group ids are
-/// compacted, and the quotient restarted, by every build_view().
+/// (assignment comp -> group id, arcs, topological order); every
+/// build_view() compacts the group ids in place.
 class Partitioner {
  public:
   Partitioner(const AtomicPartition& ap, const GraphProfiler& prof,
@@ -71,21 +73,54 @@ class Partitioner {
   }
 
   BlockPartition run() {
-    coarsen();
-    if (cfg_.uncoarsening) uncoarsen();
-    compact();
-    if (cfg_.balance_refinement) balance_refine();
+    {
+      obs::Scope span("phase2:coarsen");
+      coarsen();
+    }
+    if (cfg_.uncoarsening) {
+      obs::Scope span("phase2:uncoarsen");
+      uncoarsen();
+    }
+    {
+      obs::Scope span("phase2:compact");
+      compact();
+    }
+    if (cfg_.balance_refinement) {
+      obs::Scope span("phase2:balance");
+      balance_refine();
+    }
     return finalize();
   }
 
  private:
+  /// A snapshot of the groups under dense ids. Each group's comps and its
+  /// quotient successors and predecessors, all ascending, sit in flat
+  /// arrays reused by every view.
   struct GroupView {
-    std::vector<std::vector<int>> comps;  // group id -> comps
-    std::vector<double> time;             // fwd+bwd
+    std::vector<int> comp_begin, comp_list;
+    std::vector<int> succ_begin, succ_list;
+    std::vector<int> pred_begin, pred_list;
+    std::vector<double> time;  // fwd+bwd
     std::vector<std::int64_t> mem;
-    std::vector<std::vector<int>> succ;   // quotient successors (dedup)
-    std::vector<std::vector<int>> pred;
-    std::vector<int> rank;                // topological rank
+    std::vector<int> rank;     // topological rank
+
+    [[nodiscard]] int size() const { return static_cast<int>(time.size()); }
+    [[nodiscard]] std::span<const int> comps(int g) const {
+      return csr(comp_begin, comp_list, g);
+    }
+    [[nodiscard]] std::span<const int> succ(int g) const {
+      return csr(succ_begin, succ_list, g);
+    }
+    [[nodiscard]] std::span<const int> pred(int g) const {
+      return csr(pred_begin, pred_list, g);
+    }
+    static std::span<const int> csr(const std::vector<int>& begin,
+                                    const std::vector<int>& list, int g) {
+      const auto b = static_cast<std::size_t>(begin[static_cast<std::size_t>(g)]);
+      const auto e =
+          static_cast<std::size_t>(begin[static_cast<std::size_t>(g) + 1]);
+      return {list.data() + b, e - b};
+    }
   };
 
   /// Memory footprint estimate of a group: fp32 Adam training state
@@ -96,81 +131,84 @@ class Partitioner {
     return 4 * params_bytes + act_bytes;
   }
 
-  /// Builds a compacted view of the current partition. Group ids are
-  /// renumbered densely, and the quotient restarts from the renumbered
-  /// assignment with the view's ranks as its topological order.
-  GroupView build_view() {
-    // Renumber group ids densely.
-    std::vector<int> group_of_comp = q_.group_of_comp();
-    std::vector<int> remap(group_of_comp.size(), -1);
-    int next = 0;
-    for (int& gid : group_of_comp) {
-      if (remap[static_cast<std::size_t>(gid)] < 0)
-        remap[static_cast<std::size_t>(gid)] = next++;
-      gid = remap[static_cast<std::size_t>(gid)];
-    }
-    GroupView gv;
-    gv.comps.resize(static_cast<std::size_t>(next));
-    gv.time.assign(static_cast<std::size_t>(next), 0);
-    std::vector<std::int64_t> params(static_cast<std::size_t>(next), 0);
-    std::vector<std::int64_t> act(static_cast<std::size_t>(next), 0);
-    for (std::size_t c = 0; c < group_of_comp.size(); ++c) {
-      const auto gid = static_cast<std::size_t>(group_of_comp[c]);
-      gv.comps[gid].push_back(static_cast<int>(c));
-      gv.time[gid] += comp_time_f_[c] + comp_time_b_[c];
-      params[gid] += comp_params_[c];
-      act[gid] += comp_act_[c];
-    }
-    gv.mem.resize(static_cast<std::size_t>(next));
-    for (int i = 0; i < next; ++i)
-      gv.mem[static_cast<std::size_t>(i)] =
-          group_mem(params[static_cast<std::size_t>(i)],
-                    act[static_cast<std::size_t>(i)]);
-    gv.succ.resize(static_cast<std::size_t>(next));
-    gv.pred.resize(static_cast<std::size_t>(next));
-    for (auto [from, to] : q_.edges()) {
-      const int a = group_of_comp[static_cast<std::size_t>(from)];
-      const int b = group_of_comp[static_cast<std::size_t>(to)];
-      if (a != b) {
-        gv.succ[static_cast<std::size_t>(a)].push_back(b);
-        gv.pred[static_cast<std::size_t>(b)].push_back(a);
+  /// Rebuilds the view of the current partition and renumbers the quotient
+  /// to match: dense ids in order of each group's smallest comp, the
+  /// view's Kahn ranks as the topological order. Group sizes, memory and
+  /// neighbours come from the quotient. Times are summed over each group's
+  /// comps in ascending comp order: their rounding orders the coarsening
+  /// and compaction visits and breaks ties there, so the order of the
+  /// additions is part of the result.
+  GroupView& build_view() {
+    GroupView& gv = view_;
+    const std::vector<int>& group_of_comp = q_.group_of_comp();
+    new_id_.assign(group_of_comp.size(), -1);
+    old_id_.clear();
+    for (int g : group_of_comp)
+      if (new_id_[static_cast<std::size_t>(g)] < 0) {
+        new_id_[static_cast<std::size_t>(g)] = static_cast<int>(old_id_.size());
+        old_id_.push_back(g);
       }
+    const std::size_t n = old_id_.size();
+    gv.comp_begin.assign(n + 1, 0);
+    gv.succ_begin.assign(n + 1, 0);
+    gv.pred_begin.assign(n + 1, 0);
+    gv.mem.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const int g = old_id_[i];
+      gv.comp_begin[i + 1] = gv.comp_begin[i] + static_cast<int>(q_.size(g));
+      gv.succ_begin[i + 1] =
+          gv.succ_begin[i] + static_cast<int>(q_.succ(g).size());
+      gv.pred_begin[i + 1] =
+          gv.pred_begin[i] + static_cast<int>(q_.pred(g).size());
+      gv.mem[i] = group_mem(q_.params(g), q_.act(g));
     }
-    for (auto& v : gv.succ) {
-      std::sort(v.begin(), v.end());
-      v.erase(std::unique(v.begin(), v.end()), v.end());
+    gv.comp_list.resize(group_of_comp.size());
+    gv.time.assign(n, 0);
+    fill_.assign(gv.comp_begin.begin(), gv.comp_begin.end() - 1);
+    for (std::size_t c = 0; c < group_of_comp.size(); ++c) {
+      const auto i = static_cast<std::size_t>(
+          new_id_[static_cast<std::size_t>(group_of_comp[c])]);
+      gv.comp_list[static_cast<std::size_t>(fill_[i]++)] = static_cast<int>(c);
+      gv.time[i] += comp_time_f_[c] + comp_time_b_[c];
     }
-    for (auto& v : gv.pred) {
-      std::sort(v.begin(), v.end());
-      v.erase(std::unique(v.begin(), v.end()), v.end());
+    auto neighbours = [&](std::span<const QuotientGraph::Arc> arcs,
+                          std::vector<int>& list, int at) {
+      const auto first = list.begin() + at;
+      auto out = first;
+      for (const QuotientGraph::Arc& a : arcs)
+        *out++ = new_id_[static_cast<std::size_t>(a.to)];
+      std::sort(first, out);
+    };
+    gv.succ_list.resize(static_cast<std::size_t>(gv.succ_begin[n]));
+    gv.pred_list.resize(static_cast<std::size_t>(gv.pred_begin[n]));
+    for (std::size_t i = 0; i < n; ++i) {
+      neighbours(q_.succ(old_id_[i]), gv.succ_list, gv.succ_begin[i]);
+      neighbours(q_.pred(old_id_[i]), gv.pred_list, gv.pred_begin[i]);
     }
-    gv.rank = topo_rank(gv);
-    q_.reset(group_of_comp, gv.rank);
+    topo_rank(gv);
+    q_.renumber(new_id_, gv.rank);
     return gv;
   }
 
-  /// Kahn topological ranks; throws if the quotient has a cycle (would mean
-  /// a convexity invariant was violated).
-  static std::vector<int> topo_rank(const GroupView& gv) {
-    const int n = static_cast<int>(gv.comps.size());
+  /// Kahn topological ranks into gv.rank; throws if the quotient has a
+  /// cycle (would mean a convexity invariant was violated).
+  static void topo_rank(GroupView& gv) {
+    const int n = gv.size();
     std::vector<int> indeg(static_cast<std::size_t>(n), 0);
-    for (int u = 0; u < n; ++u)
-      for (int v : gv.succ[static_cast<std::size_t>(u)])
-        ++indeg[static_cast<std::size_t>(v)];
+    for (int v : gv.succ_list) ++indeg[static_cast<std::size_t>(v)];
     std::deque<int> q;
     for (int u = 0; u < n; ++u)
       if (indeg[static_cast<std::size_t>(u)] == 0) q.push_back(u);
-    std::vector<int> rank(static_cast<std::size_t>(n), -1);
+    gv.rank.assign(static_cast<std::size_t>(n), -1);
     int next = 0;
     while (!q.empty()) {
       const int u = q.front();
       q.pop_front();
-      rank[static_cast<std::size_t>(u)] = next++;
-      for (int v : gv.succ[static_cast<std::size_t>(u)])
+      gv.rank[static_cast<std::size_t>(u)] = next++;
+      for (int v : gv.succ(u))
         if (--indeg[static_cast<std::size_t>(v)] == 0) q.push_back(v);
     }
     if (next != n) throw std::logic_error("block quotient graph has a cycle");
-    return rank;
   }
 
   /// True iff a path u ->+ x exists in the quotient that passes through at
@@ -179,7 +217,7 @@ class Partitioner {
     const int limit = gv.rank[static_cast<std::size_t>(x)];
     visited_.clear();
     std::vector<int> stack;
-    for (int s : gv.succ[static_cast<std::size_t>(u)]) {
+    for (int s : gv.succ(u)) {
       if (s == x) continue;  // direct edge: allowed
       if (gv.rank[static_cast<std::size_t>(s)] < limit &&
           !visited_.contains(s)) {
@@ -190,7 +228,7 @@ class Partitioner {
     while (!stack.empty()) {
       const int cur = stack.back();
       stack.pop_back();
-      for (int s : gv.succ[static_cast<std::size_t>(cur)]) {
+      for (int s : gv.succ(cur)) {
         if (s == x) return true;
         if (gv.rank[static_cast<std::size_t>(s)] < limit &&
             !visited_.contains(s)) {
@@ -231,8 +269,8 @@ class Partitioner {
       total_time += comp_time_f_[c] + comp_time_b_[c];
     const double time_cap = total_time / std::max(1, cfg_.k);
     while (true) {
-      GroupView gv = build_view();
-      const int n = static_cast<int>(gv.comps.size());
+      const GroupView& gv = build_view();
+      const int n = gv.size();
       if (n <= cfg_.k) break;
 
       // Visit groups in ascending computation time (paper Section III-B).
@@ -262,8 +300,8 @@ class Partitioner {
             best_time = t;
           }
         };
-        for (int w : gv.succ[static_cast<std::size_t>(v)]) consider(w);
-        for (int w : gv.pred[static_cast<std::size_t>(v)]) consider(w);
+        for (int w : gv.succ(v)) consider(w);
+        for (int w : gv.pred(v)) consider(w);
         consumed[static_cast<std::size_t>(v)] = 1;
         if (best >= 0) {
           consumed[static_cast<std::size_t>(best)] = 1;
@@ -282,12 +320,12 @@ class Partitioner {
       LevelHistory hist;
       bool applied_any = false;
       for (auto [a, b] : merges) {
-        const std::vector<int>& sub = gv.comps[static_cast<std::size_t>(b)];
+        const std::span<const int> sub = gv.comps(b);
         if (q_.would_cycle(sub, a)) continue;
         q_.move(sub, a);
         applied_any = true;
-        hist.pairs.push_back({gv.comps[static_cast<std::size_t>(a)],
-                              gv.comps[static_cast<std::size_t>(b)]});
+        hist.add(gv.comps(a));
+        hist.add(sub);
       }
       if (!applied_any) break;  // every candidate merge would create a cycle
       history_.push_back(std::move(hist));
@@ -298,7 +336,7 @@ class Partitioner {
   // ---- uncoarsening -------------------------------------------------------
   /// Bytes of comp edges between the comp set `sub` (held in in_sub_)
   /// and the group `gid`, excluding comps of `sub` itself.
-  [[nodiscard]] std::int64_t bytes_between(const std::vector<int>& sub,
+  [[nodiscard]] std::int64_t bytes_between(std::span<const int> sub,
                                            int gid) const {
     std::int64_t total = 0;
     for (int c : sub) {
@@ -322,15 +360,11 @@ class Partitioner {
     // that strictly reduces inter-block communication (paper Fig. 3(b)).
     // Moves are applied to the *current* top-level partition and thereby
     // propagate to all coarser levels, as the paper requires.
-    for (auto it = history_.rbegin(); it != history_.rend(); ++it) {
-      for (const auto& pr : it->pairs) {
-        try_move(pr.first);
-        try_move(pr.second);
-      }
-    }
+    for (auto it = history_.rbegin(); it != history_.rend(); ++it)
+      for (std::size_t i = 0; i < it->size(); ++i) try_move(it->sub(i));
   }
 
-  void try_move(const std::vector<int>& sub) {
+  void try_move(std::span<const int> sub) {
     if (sub.empty()) return;
     // The sub-group must currently live entirely inside one block, and must
     // not be the whole block (a whole-block move is a merge, not a
@@ -390,8 +424,8 @@ class Partitioner {
   // ---- compaction ---------------------------------------------------------
   void compact() {
     while (true) {
-      GroupView gv = build_view();
-      const int n = static_cast<int>(gv.comps.size());
+      const GroupView& gv = build_view();
+      const int n = gv.size();
       if (n <= cfg_.k) break;
 
       // Topologically sorted positions: pos[i] = group at rank i.
@@ -426,9 +460,8 @@ class Partitioner {
             continue;
           // Rank-adjacent groups: the check never fires, and costs nothing
           // (the rank window between v and w is empty).
-          if (q_.would_cycle(gv.comps[static_cast<std::size_t>(w)], v))
-            continue;
-          q_.move(gv.comps[static_cast<std::size_t>(w)], v);
+          if (q_.would_cycle(gv.comps(w), v)) continue;
+          q_.move(gv.comps(w), v);
           merged = true;
           ++result_compaction_;
           break;
@@ -451,10 +484,21 @@ class Partitioner {
   // chain (and symmetrically backwards); each move is additionally
   // validated against the quotient and the memory budget.
   void balance_refine() {
+    // Comp edges inside each comp's group; a view renames groups but
+    // moves none, so only move_across changes these.
+    same_out_.assign(comp_time_f_.size(), 0);
+    same_in_.assign(comp_time_f_.size(), 0);
+    for (auto [from, to] : q_.edges())
+      if (q_.group_of(from) == q_.group_of(to)) {
+        ++same_out_[static_cast<std::size_t>(from)];
+        ++same_in_[static_cast<std::size_t>(to)];
+      }
+    stamp_.resize(comp_time_f_.size());
     for (int iter = 0; iter < 64; ++iter) {
-      GroupView gv = build_view();
-      const int n = static_cast<int>(gv.comps.size());
+      GroupView& gv = build_view();
+      const int n = gv.size();
       if (n < 2) return;
+      build_frontiers(gv);
       double total = 0;
       for (double t : gv.time) total += t;
       const double target = total / n;
@@ -493,35 +537,78 @@ class Partitioner {
     }
   }
 
+  // A block's forward frontier holds its comps with no successor inside
+  // the block (the comps that may move to the next block), its backward
+  // frontier those with no predecessor inside it. Each frontier is sorted
+  // by time, equal times by descending stamp. Stamps order a block's comps
+  // as its list in the view does, kept up across moves: the comp index
+  // after a view (the view's lists ascend), and a rising counter for a
+  // comp that moves in (it joins the end). So the last entry at or below
+  // a bound has the largest time and, among equal times, comes first in
+  // the block's list.
+  struct FrontierEntry {
+    double time;
+    int stamp;
+    int comp;
+  };
+  static bool frontier_before(const FrontierEntry& a, const FrontierEntry& b) {
+    return a.time < b.time || (a.time == b.time && a.stamp > b.stamp);
+  }
+
+  void build_frontiers(const GroupView& gv) {
+    for (auto& side : frontier_) {
+      side.resize(static_cast<std::size_t>(gv.size()));
+      for (auto& f : side) f.clear();
+    }
+    for (int g = 0; g < gv.size(); ++g) {
+      for (int c : gv.comps(g)) {
+        const auto cu = static_cast<std::size_t>(c);
+        stamp_[cu] = c;
+        const FrontierEntry e = entry(c);
+        if (same_out_[cu] == 0)
+          frontier_[kForward][static_cast<std::size_t>(g)].push_back(e);
+        if (same_in_[cu] == 0)
+          frontier_[kBackward][static_cast<std::size_t>(g)].push_back(e);
+      }
+      for (auto& side : frontier_) {
+        auto& f = side[static_cast<std::size_t>(g)];
+        std::sort(f.begin(), f.end(), frontier_before);
+      }
+    }
+    next_stamp_ = static_cast<int>(comp_time_f_.size());
+  }
+
+  [[nodiscard]] FrontierEntry entry(int c) const {
+    const auto cu = static_cast<std::size_t>(c);
+    return {comp_time_f_[cu] + comp_time_b_[cu], stamp_[cu], c};
+  }
+  void frontier_insert(int dir, int g, int c) {
+    auto& f = frontier_[dir][static_cast<std::size_t>(g)];
+    const FrontierEntry e = entry(c);
+    f.insert(std::lower_bound(f.begin(), f.end(), e, frontier_before), e);
+  }
+  void frontier_erase(int dir, int g, int c) {
+    auto& f = frontier_[dir][static_cast<std::size_t>(g)];
+    f.erase(std::lower_bound(f.begin(), f.end(), entry(c), frontier_before));
+  }
+
   /// Moves the largest movable component with time in (0, max_tc] from
-  /// `src` across the boundary to the adjacent block `dst`. `forward` means
-  /// dst follows src in the topological chain. Returns the moved time, or 0
-  /// if no component qualifies. Updates `gv` in place.
+  /// `src` across the boundary to the adjacent block `dst`, the first in
+  /// the block's list among equal times. `forward` means dst follows src in
+  /// the topological chain. Returns the moved time, or 0 if no component
+  /// qualifies. Updates the view's times and memory (not its comp lists:
+  /// the stamps carry their order) and the frontiers.
   double move_across(GroupView& gv, int src, int dst, bool forward,
                      double max_tc) {
-    if (gv.comps[static_cast<std::size_t>(src)].size() <= 1) return 0;
-    int best_comp = -1;
-    double best_tc = 0;
-    for (int c : gv.comps[static_cast<std::size_t>(src)]) {
-      const double tc = comp_time_f_[static_cast<std::size_t>(c)] +
-                        comp_time_b_[static_cast<std::size_t>(c)];
-      if (tc <= 0 || tc > max_tc || tc <= best_tc) continue;
-      // Boundary-side check: no successor (forward) / predecessor
-      // (backward) inside the source block.
-      bool boundary_free = true;
-      for (int e : forward ? q_.out_edges(c) : q_.in_edges(c)) {
-        const auto [from, to] = q_.edges()[static_cast<std::size_t>(e)];
-        const int o = forward ? to : from;
-        if (q_.group_of(o) == q_.group_of(c)) {
-          boundary_free = false;
-          break;
-        }
-      }
-      if (!boundary_free) continue;
-      best_comp = c;
-      best_tc = tc;
-    }
-    if (best_comp < 0) return 0;
+    if (q_.size(src) <= 1) return 0;
+    const auto& f = frontier_[forward ? kForward : kBackward]
+                             [static_cast<std::size_t>(src)];
+    const auto it = std::upper_bound(
+        f.begin(), f.end(), max_tc,
+        [](double t, const FrontierEntry& e) { return t < e.time; });
+    if (it == f.begin() || std::prev(it)->time <= 0) return 0;
+    const int best_comp = std::prev(it)->comp;
+    const double best_tc = std::prev(it)->time;
     const std::int64_t cm =
         group_mem(comp_params_[static_cast<std::size_t>(best_comp)],
                   comp_act_[static_cast<std::size_t>(best_comp)]);
@@ -536,17 +623,50 @@ class Partitioner {
     gv.time[static_cast<std::size_t>(dst)] += best_tc;
     gv.mem[static_cast<std::size_t>(src)] -= cm;
     gv.mem[static_cast<std::size_t>(dst)] += cm;
-    auto& sc = gv.comps[static_cast<std::size_t>(src)];
-    sc.erase(std::find(sc.begin(), sc.end(), best_comp));
-    gv.comps[static_cast<std::size_t>(dst)].push_back(best_comp);
+    update_frontiers(best_comp, src, dst);
     ++result_moves_;
+    ++result_balance_moves_;
     return best_tc;
+  }
+
+  /// Comp c has moved from src to dst: re-counts the same-group edges of c
+  /// and of its neighbours in src and dst, and moves every comp whose
+  /// count reaches or leaves zero into or out of its frontier.
+  void update_frontiers(int c, int src, int dst) {
+    const auto cu = static_cast<std::size_t>(c);
+    if (same_out_[cu] == 0) frontier_erase(kForward, src, c);
+    if (same_in_[cu] == 0) frontier_erase(kBackward, src, c);
+    same_out_[cu] = 0;
+    same_in_[cu] = 0;
+    for (int e : q_.out_edges(c)) {
+      const int o = q_.edges()[static_cast<std::size_t>(e)].second;
+      int& in = same_in_[static_cast<std::size_t>(o)];
+      if (q_.group_of(o) == src) {
+        if (--in == 0) frontier_insert(kBackward, src, o);
+      } else if (q_.group_of(o) == dst) {
+        if (in++ == 0) frontier_erase(kBackward, dst, o);
+        ++same_out_[cu];
+      }
+    }
+    for (int e : q_.in_edges(c)) {
+      const int o = q_.edges()[static_cast<std::size_t>(e)].first;
+      int& out = same_out_[static_cast<std::size_t>(o)];
+      if (q_.group_of(o) == src) {
+        if (--out == 0) frontier_insert(kForward, src, o);
+      } else if (q_.group_of(o) == dst) {
+        if (out++ == 0) frontier_erase(kForward, dst, o);
+        ++same_in_[cu];
+      }
+    }
+    stamp_[cu] = next_stamp_++;
+    if (same_out_[cu] == 0) frontier_insert(kForward, dst, c);
+    if (same_in_[cu] == 0) frontier_insert(kBackward, dst, c);
   }
 
   // ---- finalize -----------------------------------------------------------
   BlockPartition finalize() {
-    GroupView gv = build_view();
-    const int n = static_cast<int>(gv.comps.size());
+    const GroupView& gv = build_view();
+    const int n = gv.size();
     BlockPartition bp;
     bp.blocks.resize(static_cast<std::size_t>(n));
     bp.block_of_comp.resize(comp_time_f_.size());
@@ -555,8 +675,7 @@ class Partitioner {
     for (int gid = 0; gid < n; ++gid) {
       Block& blk =
           bp.blocks[static_cast<std::size_t>(gv.rank[static_cast<std::size_t>(gid)])];
-      blk.comps = gv.comps[static_cast<std::size_t>(gid)];
-      std::sort(blk.comps.begin(), blk.comps.end());
+      blk.comps.assign(gv.comps(gid).begin(), gv.comps(gid).end());
       for (int c : blk.comps) {
         bp.block_of_comp[static_cast<std::size_t>(c)] =
             gv.rank[static_cast<std::size_t>(gid)];
@@ -577,14 +696,28 @@ class Partitioner {
     }
     bp.coarsen_levels = result_levels_;
     bp.uncoarsen_moves = result_moves_;
+    bp.balance_moves = result_balance_moves_;
     bp.compaction_merges = result_compaction_;
     bp.cycle_checks = q_.cycle_checks();
     bp.cycle_check_visits = q_.cycle_check_visits();
     return bp;
   }
 
+  /// One coarsening level's applied merges, as sub-groups in one flat
+  /// array: the merged pairs in order, each as (kept group, absorbed one).
   struct LevelHistory {
-    std::vector<std::pair<std::vector<int>, std::vector<int>>> pairs;
+    std::vector<int> begin{0};
+    std::vector<int> comps;
+
+    void add(std::span<const int> sub) {
+      comps.insert(comps.end(), sub.begin(), sub.end());
+      begin.push_back(static_cast<int>(comps.size()));
+    }
+    [[nodiscard]] std::size_t size() const { return begin.size() - 1; }
+    [[nodiscard]] std::span<const int> sub(std::size_t i) const {
+      return {comps.data() + begin[i],
+              static_cast<std::size_t>(begin[i + 1] - begin[i])};
+    }
   };
 
   const AtomicPartition& ap_;
@@ -596,8 +729,18 @@ class Partitioner {
   StampSet in_sub_;   ///< try_move's sub-group (comps)
   StampSet visited_;  ///< indirect_path's search (groups)
   std::vector<LevelHistory> history_;
+  GroupView view_;                     ///< build_view()'s result
+  std::vector<int> new_id_, old_id_, fill_;  ///< build_view()'s scratch
   int result_levels_ = 0;
+  // Balance refinement's frontiers (see FrontierEntry), by direction and
+  // group, and the per-comp state behind them.
+  static constexpr int kForward = 0, kBackward = 1;
+  std::vector<std::vector<FrontierEntry>> frontier_[2];
+  std::vector<int> same_out_, same_in_;  ///< comp edges within the group
+  std::vector<int> stamp_;
+  int next_stamp_ = 0;
   int result_moves_ = 0;
+  int result_balance_moves_ = 0;
   int result_compaction_ = 0;
 };
 

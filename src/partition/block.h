@@ -59,7 +59,11 @@ struct BlockPartition {
   std::vector<int> block_of_comp;   ///< comp index -> index into blocks
   // Search diagnostics (experiment E6).
   int coarsen_levels = 0;
+  /// Moves made by uncoarsening *and* by balance refinement (historical
+  /// name; the golden digests and recorded counts carry this sum).
   int uncoarsen_moves = 0;
+  /// The balance-refinement share of uncoarsen_moves.
+  int balance_moves = 0;
   int compaction_merges = 0;
   std::int64_t cut_bytes = 0;       ///< activation bytes crossing block edges
   // Phase-2 work: quotient cycle checks and the groups they visited.

@@ -1,6 +1,7 @@
 #include "partition/quotient.h"
 
 #include <algorithm>
+#include <bit>
 #include <climits>
 #include <numeric>
 
@@ -35,6 +36,7 @@ QuotientGraph::QuotientGraph(int num_comps,
     in_edge_[static_cast<std::size_t>(in_at++)] = static_cast<int>(e);
   }
 
+  cut_.resize((edges_.size() + 63) / 64);
   group_of_comp_.resize(n);
   count_.resize(n);
   params_sum_.resize(n);
@@ -73,8 +75,44 @@ void QuotientGraph::reset(const std::vector<int>& group_of_comp,
     params_sum_[g] += comp_params_[c];
     act_sum_[g] += comp_act_[c];
   }
-  for (auto [a, b] : edges_)
-    if (group_of(a) != group_of(b)) add_arc(group_of(a), group_of(b));
+  for (std::size_t e = 0; e < edges_.size(); ++e)
+    set_cut(e, group_of(edges_[e].first) != group_of(edges_[e].second));
+  add_cut_arcs();
+}
+
+void QuotientGraph::renumber(std::span<const int> new_id,
+                             std::span<const int> rank) {
+  renamed_.resize(rank.size());
+  for (std::size_t g = 0; g < new_id.size(); ++g) {
+    if (new_id[g] < 0) continue;
+    renamed_[static_cast<std::size_t>(new_id[g])] = {count_[g], params_sum_[g],
+                                                     act_sum_[g]};
+    count_[g] = 0;
+    params_sum_[g] = 0;
+    act_sum_[g] = 0;
+    succ_[g].clear();
+    pred_[g].clear();
+  }
+  for (std::size_t i = 0; i < rank.size(); ++i) {
+    count_[i] = renamed_[i].count;
+    params_sum_[i] = renamed_[i].params;
+    act_sum_[i] = renamed_[i].act;
+    rank_[i] = rank[i];
+  }
+  for (int& g : group_of_comp_) g = new_id[static_cast<std::size_t>(g)];
+  add_cut_arcs();
+}
+
+/// Adds an arc per cut edge in edge-id order, so each group's arcs are
+/// ordered by their first comp edge; would_cycle() visits successors in
+/// that order, so its visit count depends on it.
+void QuotientGraph::add_cut_arcs() {
+  for (std::size_t w = 0; w < cut_.size(); ++w)
+    for (std::uint64_t bits = cut_[w]; bits != 0; bits &= bits - 1) {
+      const auto [a, b] =
+          edges_[w * 64 + static_cast<std::size_t>(std::countr_zero(bits))];
+      add_arc(group_of(a), group_of(b));
+    }
 }
 
 void QuotientGraph::add_arc(int from, int to) {
@@ -199,15 +237,19 @@ void QuotientGraph::move(std::span<const int> comps, int target) {
   for (int c : comps) {
     const auto cu = static_cast<std::size_t>(c);
     const int h = group_of_comp_[cu];
+    // An edge to a comp of S not yet moved is cut for now; moving that
+    // comp later revisits the edge.
     for (int e : out_edges(c)) {
       const int g = group_of(edges_[static_cast<std::size_t>(e)].second);
       if (g != h) remove_arc(h, g);
       if (g != t) add_arc(t, g);
+      set_cut(static_cast<std::size_t>(e), g != t);
     }
     for (int e : in_edges(c)) {
       const int g = group_of(edges_[static_cast<std::size_t>(e)].first);
       if (g != h) remove_arc(g, h);
       if (g != t) add_arc(g, t);
+      set_cut(static_cast<std::size_t>(e), g != t);
     }
     --count_[static_cast<std::size_t>(h)];
     ++count_[static_cast<std::size_t>(t)];

@@ -40,6 +40,11 @@ class QuotientGraph {
                 std::vector<std::int64_t> params,
                 std::vector<std::int64_t> act);
 
+  struct Arc {
+    int to;    ///< the other group
+    int mult;  ///< comp edges behind the arc (> 0)
+  };
+
   /// Replaces the assignment. `group_of_comp` holds dense ids
   /// 0..num_groups-1; `rank[g]` must be a topological order of the
   /// resulting quotient (distinct values). O(comps + edges). The
@@ -48,6 +53,15 @@ class QuotientGraph {
   /// already a topological order.
   void reset(const std::vector<int>& group_of_comp,
              const std::vector<int>& rank);
+
+  /// Renames every non-empty group g to `new_id[g]` (`new_id` is indexed
+  /// by group id; the new ids are 0..rank.size()-1, one per non-empty
+  /// group, and -1 marks empty groups) and installs `rank`, indexed by new
+  /// id, as the topological order. Counts, byte sums and arcs follow their
+  /// groups. Leaves the same state as reset() with the renamed assignment,
+  /// arc order included, for O(comps + edges / 64 + cut edges) instead of
+  /// O(comps + edges).
+  void renumber(std::span<const int> new_id, std::span<const int> rank);
 
   [[nodiscard]] int group_of(int comp) const {
     return group_of_comp_[static_cast<std::size_t>(comp)];
@@ -76,6 +90,16 @@ class QuotientGraph {
   [[nodiscard]] std::span<const int> in_edges(int c) const {
     return csr(in_begin_, in_edge_, c);
   }
+  /// Arcs out of / into group g. reset() and renumber() order them by
+  /// their first comp edge; moves append new arcs and fill a dropped arc's
+  /// slot with the last one. would_cycle() searches successors in this
+  /// order.
+  [[nodiscard]] std::span<const Arc> succ(int g) const {
+    return succ_[static_cast<std::size_t>(g)];
+  }
+  [[nodiscard]] std::span<const Arc> pred(int g) const {
+    return pred_[static_cast<std::size_t>(g)];
+  }
   /// Position of group g in the maintained topological order.
   [[nodiscard]] int rank(int g) const {
     return rank_[static_cast<std::size_t>(g)];
@@ -96,11 +120,6 @@ class QuotientGraph {
   [[nodiscard]] std::int64_t cycle_check_visits() const { return visits_; }
 
  private:
-  struct Arc {
-    int to;    ///< the other group
-    int mult;  ///< comp edges behind the arc (> 0)
-  };
-
   static std::span<const int> csr(const std::vector<int>& begin,
                                   const std::vector<int>& ids, int c) {
     const auto b = static_cast<std::size_t>(begin[static_cast<std::size_t>(c)]);
@@ -108,6 +127,12 @@ class QuotientGraph {
         static_cast<std::size_t>(begin[static_cast<std::size_t>(c) + 1]);
     return {ids.data() + b, e - b};
   }
+  void set_cut(std::size_t e, bool cut) {
+    const std::uint64_t bit = std::uint64_t{1} << (e % 64);
+    if (cut) cut_[e / 64] |= bit;
+    else cut_[e / 64] &= ~bit;
+  }
+  void add_cut_arcs();
   void add_arc(int from, int to);
   void remove_arc(int from, int to);
   void restore_order(int x);
@@ -116,6 +141,9 @@ class QuotientGraph {
   std::vector<std::pair<int, int>> edges_;
   std::vector<int> out_begin_, out_edge_, in_begin_, in_edge_;
   std::vector<std::int64_t> comp_params_, comp_act_;
+  /// Bit e set iff comp edge e joins two groups; kept by move(), so
+  /// renumber() can re-add the arcs without visiting internal edges.
+  std::vector<std::uint64_t> cut_;
 
   // Group level.
   std::vector<int> group_of_comp_;
@@ -133,6 +161,11 @@ class QuotientGraph {
   std::vector<int> in_delta_;   ///< group -> comp edges group -> moving set
   std::vector<int> touched_;    ///< groups in has_delta_
   std::vector<int> stack_, fwd_, back_, pool_;
+  struct GroupSums {
+    int count;
+    std::int64_t params, act;
+  };
+  std::vector<GroupSums> renamed_;  ///< renumber()'s sums, by new id
 
   std::int64_t checks_ = 0;
   std::int64_t visits_ = 0;

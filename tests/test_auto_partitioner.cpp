@@ -63,6 +63,9 @@ TEST(AutoPartition, PublishesPhaseOneAndTwoMetrics) {
   EXPECT_EQ(reg.counter("partition.coarsen_levels").get(), st.coarsen_levels);
   EXPECT_EQ(reg.counter("partition.uncoarsen_moves").get(),
             st.uncoarsen_moves);
+  EXPECT_EQ(reg.counter("partition.balance_moves").get(), st.balance_moves);
+  EXPECT_GT(st.balance_moves, 0);
+  EXPECT_LE(st.balance_moves, st.uncoarsen_moves);
   EXPECT_EQ(reg.counter("partition.compaction_merges").get(),
             st.compaction_merges);
   EXPECT_EQ(reg.counter("partition.cycle_checks").get(), st.cycle_checks);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <random>
 
 #include "graph/subgraph.h"
 #include "models/bert.h"
@@ -246,8 +247,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 /// The perfbench search_moe graph (h512/E64/L8) with the Phase-2 settings
 /// auto_partition uses on a V100 cluster: k = 32, the usable device memory,
-/// balance at microbatch 1.
-BlockPartition moe_partition(std::int64_t layers) {
+/// balance at microbatch 1. `device_memory` > 0 replaces the usable memory.
+BlockPartition moe_partition(std::int64_t layers,
+                             std::int64_t device_memory = 0) {
   MoeConfig mc;
   mc.hidden = 512;
   mc.experts = 64;
@@ -259,13 +261,151 @@ BlockPartition moe_partition(std::int64_t layers) {
   const GraphProfiler prof(ap.graph, req.cluster.device, req.precision);
   BlockPartitionConfig cfg;
   cfg.k = req.num_blocks;
-  cfg.device_memory = req.usable_memory();
+  cfg.device_memory = device_memory > 0 ? device_memory : req.usable_memory();
   cfg.profile_batch = 1;
   return block_partition(ap, prof, cfg);
 }
 
 TEST(BlockGolden, MoeMatchesRecordedDigest) {
   EXPECT_EQ(digest(moe_partition(8)), 0x01bed174bcc7677aull);
+}
+
+// The goldens below were recorded before Phase 2 derived its group views
+// from the quotient and indexed balance-move candidates by block frontier.
+// Their digests also cover the cycle-check counters.
+std::uint64_t digest_with_checks(const BlockPartition& bp) {
+  std::uint64_t h = digest(bp);
+  for (std::int64_t v : {bp.cycle_checks, bp.cycle_check_visits})
+    h = (h ^ static_cast<std::uint64_t>(v)) * 1099511628211ull;
+  return h;
+}
+
+// 16 layers: balance refinement makes ~12k moves, and the 64 equal-time
+// experts per layer tie at every time comparison.
+TEST(BlockGolden, Moe16MatchesRecordedDigest) {
+  EXPECT_EQ(digest_with_checks(moe_partition(16)), 0xba06b776aa7f901eull);
+}
+
+// Memory-bound: the budget is the even 1/32 share of the graph's training
+// state (~671 MiB), so coarsening's, uncoarsening's, compaction's and
+// balance refinement's memory checks all reject moves, and compaction
+// stops above k blocks.
+TEST(BlockGolden, MoeMemoryBoundMatchesRecordedDigest) {
+  const BlockPartition bp = moe_partition(8, 703300352);
+  EXPECT_GT(bp.blocks.size(), 32u);
+  EXPECT_EQ(digest_with_checks(bp), 0xefc1a47708010f3bull);
+}
+
+/// Seeded random layered DAG in which every task has one shape and one of
+/// three op kinds, so component times take a handful of distinct values and
+/// Phase 2's time comparisons meet ties everywhere.
+Built random_ties(std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(
+        std::uniform_int_distribution<int>(0, static_cast<int>(n) - 1)(rng));
+  };
+  TaskGraph g("ties_" + std::to_string(seed));
+  const Shape s{16, 16};
+  std::vector<ValueId> live{g.add_input("x", s)};
+  const std::size_t depth = 12 + pick(20);
+  for (std::size_t d = 0; d < depth; ++d) {
+    std::vector<ValueId> next;
+    for (std::size_t i = 0, w = 1 + pick(4); i < w; ++i) {
+      const std::string name = "t" + std::to_string(d) + "_" + std::to_string(i);
+      const ValueId a = live[pick(live.size())];
+      switch (pick(3)) {
+        case 0:
+          next.push_back(g.add_task(name, OpKind::Gelu, {a}, s));
+          break;
+        case 1:
+          next.push_back(
+              g.add_task(name, OpKind::Add, {a, live[pick(live.size())]}, s));
+          break;
+        default:
+          next.push_back(g.add_task(name, OpKind::MatMul,
+                                    {a, g.add_param(name + ".w", s)}, s));
+      }
+    }
+    live.insert(live.end(), next.begin(), next.end());
+    if (live.size() > 6) live.erase(live.begin(), live.end() - 6);
+  }
+  ValueId acc = live.front();
+  for (std::size_t i = 1; i < live.size(); ++i)
+    acc = g.add_task("join" + std::to_string(i), OpKind::Add, {acc, live[i]}, s);
+  g.mark_output(acc);
+  g.validate();
+  Built b{atomic_partition(g), nullptr};
+  b.prof = std::make_unique<GraphProfiler>(b.ap.graph, DeviceSpec{});
+  return b;
+}
+
+// Digests per seed, {uncoarsening on, off}; k = 2 + seed % 7.
+constexpr std::uint64_t kTieDigests[][2] = {
+    {0x101db8c36a42f2feull, 0xe33c76472db4de42ull},
+    {0xcc49afbb0f3ec209ull, 0x157eede32f985517ull},
+    {0x198053144000bdd4ull, 0x304cab2bf3910a44ull},
+    {0x5b4492b743eb0a73ull, 0x66c4cc2d5bb6f0b1ull},
+    {0x1e61aeb8d28da962ull, 0x94c2231e988a158bull},
+    {0xc118bdaf6ab3f83full, 0x32f4ecf141911ea9ull},
+    {0x25ea85b14c3f4e7aull, 0x116adae4cd7eb501ull},
+    {0x3251550e500d7cb7ull, 0xb0a37e835169545bull},
+    {0x04d1f23984491b94ull, 0x7455a629c756ec50ull},
+    {0xfe8d63aee560aff0ull, 0xe0d103dc1fb84250ull},
+    {0xc8ae627d9175ccfaull, 0x1c8e775ebb65451aull},
+    {0xe4bf069e8932546cull, 0xdbfe767731e0222eull},
+    {0xb79fcec90badce4aull, 0x92459fab3f754740ull},
+    {0xaa5ba609045a2d0aull, 0xf0745ae41f3c46e8ull},
+    {0x785b384c3b7983f3ull, 0xeeb8b02b32c59a53ull},
+    {0x8f243bfbe2feb749ull, 0x984bf88afe931c25ull},
+    {0x02b9459a8c5c5ceaull, 0xe2f23bbba078c8cfull},
+    {0x40ece2b872cd5bbbull, 0x0fe1d384b1d1e953ull},
+    {0x6c95713b3ae36cecull, 0xc2c9c1425d11ddd0ull},
+    {0xfe8eb16906d30f96ull, 0xa731bb38aa51fdc2ull},
+    {0xe3b477e300ef797dull, 0xbd28ae0e9cb91219ull},
+    {0x8ffde466f65cc4e9ull, 0xac366e1e3be9edc5ull},
+    {0x99560864f67c93b6ull, 0xf6a8dd589d84647cull},
+    {0xed8a517472a0883dull, 0xe91a90e334d42044ull},
+    {0x95bafdb02a1f0671ull, 0x9bdef2ae30422209ull},
+    {0xb803f2612af3a20eull, 0x3e0bd0c0e191a5d0ull},
+    {0x3307eb8773242f14ull, 0x2115fd3c5f167a10ull},
+    {0x1c24785bd756e3efull, 0xb2817448f5793cb8ull},
+    {0xcc6d9a69e3823036ull, 0x3cd510d55b4c5fdaull},
+    {0xa3ab2605a0358d7cull, 0xe94f16d71f25d458ull},
+    {0x991d22648594a325ull, 0xefc6ae7ed783bbceull},
+    {0xc5f098b2eff0dcbdull, 0xf62464a132796233ull},
+    {0x84bc0e4d6259094eull, 0xa73691a8810d379eull},
+    {0xe4bf9aa173e90796ull, 0x53b9195310a03eb4ull},
+    {0x9f34b41a74b80bc5ull, 0xafbea04f7b73dffbull},
+    {0xc8aa590efee65bb5ull, 0xf22ebcda498ac9ecull},
+    {0xe908ce00ffc532ceull, 0xb80f5892206a2f92ull},
+    {0x21a0ca1c88ac172bull, 0x0fab5dcf42b5c849ull},
+    {0xf9d564aeac1a6d08ull, 0xf17bc46a070dc886ull},
+    {0xe4911ff2ce72459full, 0xb6f7a188f38b07ceull},
+    {0x6e355f813b65f1aaull, 0xb3af0ef8f2efae4dull},
+    {0x33b988cf18dd84afull, 0xab676be49b2a27c0ull},
+    {0x719ab54e1cecfe12ull, 0x013f46ef3a46024aull},
+    {0x24da80faa605b9f7ull, 0xda4b16ed8d6009bbull},
+    {0xf53c1094fdf9c81full, 0x02c71c0e61647c53ull},
+    {0x8e4171c910aad4f5ull, 0x5eb9556f54ce4495ull},
+    {0xc3d2f5ee782cfcc8ull, 0xd41ebfbef2b47de3ull},
+    {0x094261ff597ed3e1ull, 0x5eac395ab687ec05ull},
+    {0x19b851f188b4c9fdull, 0x55710f57991f69a9ull},
+    {0x970e076199690324ull, 0xd24d37c068647414ull},
+};
+
+TEST(BlockGolden, TieHeavyRandomDagsMatchRecordedDigests) {
+  for (std::uint32_t seed = 0; seed < std::size(kTieDigests); ++seed) {
+    SCOPED_TRACE(seed);
+    Built b = random_ties(seed);
+    BlockPartitionConfig cfg;
+    cfg.k = 2 + static_cast<int>(seed % 7);
+    for (int off = 0; off < 2; ++off) {
+      cfg.uncoarsening = off == 0;
+      EXPECT_EQ(digest_with_checks(block_partition(b.ap, *b.prof, cfg)),
+                kTieDigests[seed][off]);
+    }
+  }
 }
 
 // Complexity guard: doubling the MoE depth doubles the components, and

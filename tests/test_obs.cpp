@@ -329,6 +329,27 @@ TEST(ObsTrace, SearchDomainCarriesPhaseSpansAndLanes) {
   std::sort(lanes.begin(), lanes.end());
   lanes.erase(std::unique(lanes.begin(), lanes.end()), lanes.end());
   EXPECT_GT(lanes.size(), 1u);
+
+  // Phase 2's steps nest, in order, inside phase2:block_partition.
+  const std::vector<obs::TraceEvent> events = rec.snapshot();
+  auto span = [&](const char* name) -> const obs::TraceEvent* {
+    for (const obs::TraceEvent& e : events)
+      if (e.ph == 'X' && e.name == name) return &e;
+    return nullptr;
+  };
+  const obs::TraceEvent* outer = span("phase2:block_partition");
+  ASSERT_NE(outer, nullptr);
+  double end = outer->ts_us;
+  for (const char* step : {"phase2:coarsen", "phase2:uncoarsen",
+                           "phase2:compact", "phase2:balance"}) {
+    SCOPED_TRACE(step);
+    const obs::TraceEvent* inner = span(step);
+    ASSERT_NE(inner, nullptr);
+    EXPECT_EQ(inner->tid, outer->tid);
+    EXPECT_GE(inner->ts_us, end);
+    end = inner->ts_us + inner->dur_us;
+    EXPECT_LE(end, outer->ts_us + outer->dur_us);
+  }
 }
 
 TEST(ObsTrace, ConcurrentRecordingIsSafe) {  // exercised under TSAN in CI

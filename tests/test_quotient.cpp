@@ -1,10 +1,11 @@
 // Differential tests for the incremental block quotient
 // (src/partition/quotient.h). Seeded random DAGs are driven through long
-// sequences of contractions, moves and rollbacks; every would_cycle()
-// answer is compared with a Kahn pass over the whole group quotient,
-// written here independently of the engine, and the maintained state
-// (assignment, group sizes, byte sums, topological order) is re-derived from
-// scratch after every applied change.
+// sequences of contractions, moves, rollbacks and renumberings; every
+// would_cycle() answer is compared with a Kahn pass over the whole group
+// quotient, written here independently of the engine, and the maintained
+// state (assignment, group sizes, byte sums, topological order, and after
+// a renumbering the arcs in order) is re-derived from scratch after every
+// applied change.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include <numeric>
 #include <random>
 #include <set>
+#include <span>
 
 #include "partition/quotient.h"
 
@@ -132,6 +134,51 @@ std::vector<int> interval_groups(std::mt19937& rng, const Dag& d,
   return group_of_comp;
 }
 
+/// Renames the groups densely in order of their smallest comp, keeping
+/// their order, and compares the result with the state reset() builds:
+/// sums and ranks, and each group's arcs with multiplicities, in the order
+/// of the first comp edge behind each.
+void renumber_and_check(const Dag& d, QuotientGraph& q,
+                        std::vector<int>& group_of_comp) {
+  std::vector<int> new_id(static_cast<std::size_t>(d.n), -1);
+  std::vector<int> rank;
+  for (int g : group_of_comp)
+    if (new_id[static_cast<std::size_t>(g)] < 0) {
+      new_id[static_cast<std::size_t>(g)] = static_cast<int>(rank.size());
+      rank.push_back(q.rank(g));
+    }
+  for (int& g : group_of_comp) g = new_id[static_cast<std::size_t>(g)];
+  q.renumber(new_id, rank);
+  expect_consistent(d, q, group_of_comp);
+
+  using Arcs = std::vector<std::pair<int, int>>;  // (to, mult)
+  std::vector<Arcs> succ(rank.size()), pred(rank.size());
+  auto bump = [](Arcs& arcs, int to) {
+    for (auto& [t, mult] : arcs)
+      if (t == to) {
+        ++mult;
+        return;
+      }
+    arcs.emplace_back(to, 1);
+  };
+  for (auto [a, b] : d.edges) {
+    const int ga = group_of_comp[static_cast<std::size_t>(a)];
+    const int gb = group_of_comp[static_cast<std::size_t>(b)];
+    if (ga == gb) continue;
+    bump(succ[static_cast<std::size_t>(ga)], gb);
+    bump(pred[static_cast<std::size_t>(gb)], ga);
+  }
+  auto arcs = [](std::span<const QuotientGraph::Arc> span) {
+    Arcs out;
+    for (const QuotientGraph::Arc& a : span) out.emplace_back(a.to, a.mult);
+    return out;
+  };
+  for (std::size_t g = 0; g < rank.size(); ++g) {
+    EXPECT_EQ(arcs(q.succ(static_cast<int>(g))), succ[g]) << "group " << g;
+    EXPECT_EQ(arcs(q.pred(static_cast<int>(g))), pred[g]) << "group " << g;
+  }
+}
+
 struct Tally {
   int accepted = 0;
   int rejected = 0;
@@ -211,6 +258,7 @@ Tally episode(std::uint32_t seed, bool local) {
       for (int c : sub) goc[static_cast<std::size_t>(c)] = h;
       expect_consistent(d, q, goc);
     }
+    if (std::bernoulli_distribution(0.2)(rng)) renumber_and_check(d, q, goc);
   }
   EXPECT_EQ(q.cycle_checks(), calls);
   return tally;
