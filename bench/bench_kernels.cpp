@@ -29,6 +29,24 @@ BENCHMARK(BM_MatMul)
     ->Args({64, 0})->Args({128, 0})->Args({256, 0})->Args({512, 0})
     ->Args({256, 1})->Args({512, 1});
 
+// Forward GEMM on a model's own shapes: A[m,k] x B[k,n]. Args: m, k, n,
+// B stored transposed as [n,k] (0/1): how a linear layer reads its [out,in]
+// weight. RANNC_THREADS=1 or 4 pins the kernel pool's size.
+void BM_MatMulShape(benchmark::State& state) {
+  const auto m = state.range(0), k = state.range(1), n = state.range(2);
+  const bool trans_b = state.range(3) != 0;
+  Tensor a = Tensor::uniform(Shape{m, k}, 1.0f, 1);
+  Tensor b = Tensor::uniform(trans_b ? Shape{n, k} : Shape{k, n}, 1.0f, 2);
+  for (auto _ : state) benchmark::DoNotOptimize(matmul(a, b, trans_b));
+  state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
+}
+// bert_tiny's projections, FFN up/down and MLM head; the mlp's 8-row
+// microbatch.
+BENCHMARK(BM_MatMulShape)
+    ->Args({64, 384, 384, 1})->Args({64, 384, 1536, 0})
+    ->Args({64, 384, 1536, 1})->Args({64, 1536, 384, 1})
+    ->Args({64, 384, 512, 1})->Args({8, 1024, 1024, 1});
+
 /// Uniform [m, n] values with every 331st element (~0.3 %) set to the
 /// subnormal 1e-40f when `subnormal` is set: the share a bert_tiny training
 /// run reaches in its backward GEMM inputs.

@@ -1,6 +1,9 @@
 #include "autodiff/interpreter.h"
 
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace rannc {
 
@@ -11,6 +14,14 @@ std::vector<int> perm_of(const Task& t, std::size_t rank) {
   for (std::size_t i = 0; i < rank; ++i)
     perm[i] = static_cast<int>(
         t.attrs.geti("perm" + std::to_string(i), static_cast<std::int64_t>(i)));
+  return perm;
+}
+
+/// The permutation that swaps the last two of `rank` axes.
+std::vector<int> last2_swap(std::size_t rank) {
+  std::vector<int> perm(rank);
+  for (std::size_t i = 0; i < rank; ++i) perm[i] = static_cast<int>(i);
+  std::swap(perm[rank - 2], perm[rank - 1]);
   return perm;
 }
 
@@ -31,58 +42,73 @@ void accumulate_grad(TensorMap& grads, ValueId v, Tensor delta) {
     it->second.add_(delta);
 }
 
-void Interpreter::forward(const std::vector<TaskId>& tasks, TensorMap& values,
-                          ForwardCache& cache) const {
-  for (TaskId tid : tasks) run_task(graph_->task(tid), values, cache);
+Interpreter::Folds Interpreter::folds(
+    const std::vector<TaskId>& tasks) const {
+  Folds out;
+  std::vector<bool> listed;
+  for (TaskId tid : tasks) {
+    const Task& t = graph_->task(tid);
+    if (t.kind != OpKind::Transpose) continue;
+    const Value& v = graph_->value(t.output);
+    const std::size_t rank = v.shape.rank();
+    if (v.is_output || v.consumers.empty() || rank < 2 ||
+        perm_of(t, rank) != last2_swap(rank))
+      continue;
+    if (listed.empty()) {
+      listed.assign(graph_->num_tasks(), false);
+      for (TaskId id : tasks) listed[static_cast<std::size_t>(id)] = true;
+    }
+    bool fold = true;
+    for (TaskId c : v.consumers) {
+      const Task& ct = graph_->task(c);
+      fold = fold && listed[static_cast<std::size_t>(c)] &&
+             ct.kind == OpKind::MatMul && ct.inputs.at(0) != t.output &&
+             ct.inputs.at(1) == t.output;
+    }
+    if (fold) out.emplace(t.output, t.inputs.at(0));
+  }
+  return out;
 }
 
-void Interpreter::forward_all(TensorMap& values, ForwardCache& cache) const {
-  for (const Task& t : graph_->tasks()) run_task(t, values, cache);
+void Interpreter::forward(const std::vector<TaskId>& tasks, TensorMap& values,
+                          ForwardCache& cache) const {
+  const Folds f = folds(tasks);
+  for (TaskId tid : tasks) run_task(graph_->task(tid), f, values, cache);
 }
 
 void Interpreter::backward(const std::vector<TaskId>& tasks,
                            const TensorMap& values, const ForwardCache& cache,
                            TensorMap& grads) const {
+  const Folds f = folds(tasks);
   for (auto it = tasks.rbegin(); it != tasks.rend(); ++it)
-    grad_task(graph_->task(*it), values, cache, grads);
+    grad_task(graph_->task(*it), f, values, cache, grads);
 }
 
-void Interpreter::run_task(const Task& t, TensorMap& values,
-                           ForwardCache& cache) const {
-  auto in = [&](std::size_t i) -> const Tensor& {
-    auto it = values.find(t.inputs.at(i));
+void Interpreter::run_task(const Task& t, const Folds& folds,
+                           TensorMap& values, ForwardCache& cache) const {
+  auto value = [&](ValueId v) -> const Tensor& {
+    auto it = values.find(v);
     if (it == values.end())
       throw std::logic_error("forward: missing input value " +
-                             graph_->value(t.inputs.at(i)).name);
+                             graph_->value(v).name);
     return it->second;
+  };
+  auto in = [&](std::size_t i) -> const Tensor& {
+    return value(t.inputs.at(i));
   };
   const Shape& out_shape = graph_->value(t.output).shape;
   Tensor out;
   switch (t.kind) {
-    case OpKind::MatMul: out = matmul(in(0), in(1)); break;
-    case OpKind::Transpose: {
-      const Tensor& src = in(0);
-      if (param_memo_ &&
-          graph_->value(t.inputs.at(0)).kind == ValueKind::Param) {
-        bool hit = false;
-        {
-          std::lock_guard<std::mutex> lk(memo_mu_);
-          auto mit = memo_.find(t.output);
-          if (mit != memo_.end() && mit->second.first == src.data()) {
-            out = mit->second.second;
-            hit = true;
-          }
-        }
-        if (!hit) {
-          out = transpose(src, perm_of(t, src.shape().rank()));
-          std::lock_guard<std::mutex> lk(memo_mu_);
-          memo_[t.output] = {src.data(), out};
-        }
-      } else {
-        out = transpose(src, perm_of(t, src.shape().rank()));
-      }
+    case OpKind::MatMul: {
+      auto f = folds.find(t.inputs.at(1));
+      out = f == folds.end() ? matmul(in(0), in(1))
+                             : matmul(in(0), value(f->second), true);
       break;
     }
+    case OpKind::Transpose:
+      if (folds.count(t.output)) return;  // its MatMuls read the source
+      out = transpose(in(0), perm_of(t, in(0).shape().rank()));
+      break;
     case OpKind::Reshape:
     case OpKind::Flatten: out = in(0).reshaped(out_shape); break;
     case OpKind::Identity:
@@ -141,8 +167,9 @@ void Interpreter::run_task(const Task& t, TensorMap& values,
   values[t.output] = std::move(out);
 }
 
-void Interpreter::grad_task(const Task& t, const TensorMap& values,
-                            const ForwardCache& cache, TensorMap& grads) const {
+void Interpreter::grad_task(const Task& t, const Folds& folds,
+                            const TensorMap& values, const ForwardCache& cache,
+                            TensorMap& grads) const {
   auto git = grads.find(t.output);
   if (git == grads.end()) return;  // nothing flows back through this task
   const Tensor g = git->second;
@@ -157,12 +184,25 @@ void Interpreter::grad_task(const Task& t, const TensorMap& values,
   };
 
   switch (t.kind) {
-    case OpKind::MatMul:
-      acc(0, matmul_grad_a(g, in(1)));
-      acc(1, matmul_grad_b(in(0), g, in(1).shape()));
+    case OpKind::MatMul: {
+      auto f = folds.find(t.inputs.at(1));
+      if (f == folds.end()) {
+        acc(0, matmul_grad_a(g, in(1)));
+        acc(1, matmul_grad_b(in(0), g, in(1).shape()));
+      } else {  // dW in W's layout, held under the transpose's output
+        const Tensor& w = values.at(f->second);
+        acc(0, matmul_grad_a(g, w, true));
+        acc(1, matmul_grad_b(in(0), g, w.shape(), true));
+      }
       break;
+    }
     case OpKind::Transpose:
-      acc(0, transpose(g, inverse_perm(perm_of(t, in(0).shape().rank()))));
+      if (folds.count(t.output)) {  // g is already in the source's layout
+        grads.erase(git);
+        acc(0, g);
+      } else {
+        acc(0, transpose(g, inverse_perm(perm_of(t, in(0).shape().rank()))));
+      }
       break;
     case OpKind::Reshape:
     case OpKind::Flatten: acc(0, g.reshaped(in_shape(0)).clone()); break;

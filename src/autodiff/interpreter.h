@@ -9,9 +9,7 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "graph/task_graph.h"
@@ -32,6 +30,17 @@ struct ForwardCache {
   std::unordered_map<TaskId, Tensor> ce_probs;
 };
 
+// Transpose folding. A Transpose that swaps the last two axes is skipped
+// when its output is not a graph output and every consumer of it is a
+// MatMul that takes it as the right operand and runs in the same task list.
+// Those MatMuls read the source through matmul's transposed operand, which
+// is bit-identical to reading the copy. Their backward yields the gradient
+// in the source's layout, held under the transpose's output until the
+// Transpose's own turn in reverse order and then accumulated into the
+// source's gradient: the order the materialised path accumulates in, so no
+// bit moves. Any other transpose is materialised. A weight transpose always
+// folds in the runtime, because atomic partitioning places each constant
+// task with its consumer (paper Fig. 2(b)).
 class Interpreter {
  public:
   explicit Interpreter(const TaskGraph& g) : graph_(&g) {}
@@ -50,35 +59,19 @@ class Interpreter {
   void backward(const std::vector<TaskId>& tasks, const TensorMap& values,
                 const ForwardCache& cache, TensorMap& grads) const;
 
-  /// Whole-graph convenience: forward all tasks.
-  void forward_all(TensorMap& values, ForwardCache& cache) const;
-
-  /// Opt-in memo for forward outputs that are pure functions of parameter
-  /// values only (currently Transpose of a Param input, i.e. the per-layer
-  /// weight transposes). Parameters are fixed for the duration of a training
-  /// step, so each memoized task runs once per step and every later
-  /// microbatch reuses the result — a pure permutation of unchanged data,
-  /// bit-identical to recomputing it. Callers MUST invalidate whenever
-  /// parameters may change (optimizer step, rollback, state import); as a
-  /// second line of defense an entry is only reused while the input tensor
-  /// still aliases the exact buffer it was computed from. Thread-safe.
-  void set_param_memo(bool on) { param_memo_ = on; }
-  void invalidate_param_memo() {
-    std::lock_guard<std::mutex> lk(memo_mu_);
-    memo_.clear();
-  }
-
   [[nodiscard]] const TaskGraph& graph() const { return *graph_; }
 
  private:
-  void run_task(const Task& t, TensorMap& values, ForwardCache& cache) const;
-  void grad_task(const Task& t, const TensorMap& values,
+  /// Folded transposes of one task list: output value -> source value.
+  using Folds = std::unordered_map<ValueId, ValueId>;
+  [[nodiscard]] Folds folds(const std::vector<TaskId>& tasks) const;
+
+  void run_task(const Task& t, const Folds& folds, TensorMap& values,
+                ForwardCache& cache) const;
+  void grad_task(const Task& t, const Folds& folds, const TensorMap& values,
                  const ForwardCache& cache, TensorMap& grads) const;
 
   const TaskGraph* graph_;
-  bool param_memo_ = false;
-  mutable std::mutex memo_mu_;
-  mutable std::unordered_map<ValueId, std::pair<const float*, Tensor>> memo_;
 };
 
 /// Accumulates `delta` into `grads[v]` (insert if absent).

@@ -139,12 +139,18 @@ StageProfile ProfileMemo::lookup(int lo, int hi, std::int64_t bsize,
   // Compute outside the shard lock: the base fn may take its own locks
   // (UnitSequence's time-prefix cache) and other shard keys stay usable
   // meanwhile. A concurrent miss on the same key computes the same value;
-  // the second emplace is a no-op.
-  misses_.fetch_add(1, std::memory_order_relaxed);
+  // the second emplace is a no-op and counts as a hit, so misses are the
+  // distinct keys inserted whatever the scheduling.
   const StageProfile p = base_(lo, hi, bsize, microbatches, num_stages);
+  StageProfile out;
+  {
+    std::lock_guard<std::mutex> lk(sh.mu);
+    const auto [it, inserted] = sh.map.emplace(k, p);
+    (inserted ? misses_ : hits_).fetch_add(1, std::memory_order_relaxed);
+    out = it->second;
+  }
   trace_progress();
-  std::lock_guard<std::mutex> lk(sh.mu);
-  return sh.map.emplace(k, p).first->second;
+  return out;
 }
 
 }  // namespace rannc

@@ -58,6 +58,10 @@ class ProfileMemo {
   /// unmemoized fn regardless of thread count or call order.
   [[nodiscard]] RangeProfileFn fn();
 
+  /// Lookups answered from the cache, and lookups that inserted a new
+  /// key. A lookup that computes a key another thread inserts first counts
+  /// as a hit, so both counters are the same at any thread count (misses
+  /// are the distinct keys added; base-fn calls can exceed them).
   [[nodiscard]] std::int64_t hits() const {
     return hits_.load(std::memory_order_relaxed);
   }

@@ -37,7 +37,6 @@ PipelineTrainer::PipelineTrainer(const TaskGraph& g,
                                  std::vector<std::vector<TaskId>> stage_tasks,
                                  PipelineOptions options)
     : interp_(g), options_(options) {
-  interp_.set_param_memo(!naive_kernels());
   const auto outs = g.output_values();
   if (outs.size() != 1 || g.value(outs.front()).shape.numel() != 1)
     throw std::invalid_argument("PipelineTrainer requires one scalar loss");
@@ -420,7 +419,6 @@ float PipelineTrainer::step(const std::vector<TensorMap>& microbatches) {
         "pipeline step exceeded deadline of " +
         std::to_string(options_.step_deadline_s) + "s"));
   Arena::global().end_epoch();
-  interp_.invalidate_param_memo();  // optimizer steps replaced the params
   if (error) {
     if (options_.transactional) {
       for (std::size_t s = 0; s < stages_.size(); ++s) {

@@ -44,14 +44,10 @@ Trainer::Trainer(const TaskGraph& g, OptimizerConfig opt, std::uint64_t seed)
   loss_value_ = outs.front();
   if (g.value(loss_value_).shape.numel() != 1)
     throw std::invalid_argument("Trainer: loss output must be scalar");
-  interp_.set_param_memo(!naive_kernels());
 }
 
 float Trainer::step(const std::vector<TensorMap>& microbatches) {
   if (microbatches.empty()) return 0;
-  // params() hands out a mutable reference, so stale memo entries can't be
-  // ruled out across steps; within the step the params are ours.
-  interp_.invalidate_param_memo();
   TensorMap grad_acc;
   double loss_sum = 0;
   const float seed_grad = 1.0f / static_cast<float>(microbatches.size());
@@ -69,8 +65,6 @@ float Trainer::step(const std::vector<TensorMap>& microbatches) {
       if (params_.count(v)) accumulate_grad(grad_acc, v, std::move(g));
   }
   opt_.step(params_, grad_acc);
-  interp_.invalidate_param_memo();  // the step rewrote the params, maybe
-                                    // in place (same buffer, new bytes)
   Arena::global().end_epoch();
   return static_cast<float>(loss_sum / static_cast<double>(microbatches.size()));
 }

@@ -17,91 +17,230 @@ namespace detail {
 
 namespace {
 
-// GEMM tiling. The microkernel computes a 4x16 C tile: 8 vector
-// accumulators at AVX2 width, k ascending one element at a time so the
-// per-element order matches an axpy loop. B panels are packed so the
-// microkernel streams contiguous, zero-padded rows regardless of n.
-constexpr std::int64_t kNR = 16;        // C tile columns (2 AVX2 vectors)
-constexpr std::int64_t kMR = 4;         // C tile rows
-constexpr std::int64_t kKC = 256;       // k block (packed panel: 16 KiB)
-constexpr std::int64_t kRowTile = 32;   // rows per parallel work item
+/// Read-only float operand: element (b, r, c) sits at p[b*bs + r*rs + c*cs].
+struct Strided {
+  const float* p;
+  std::int64_t bs, rs, cs;
+};
 
-void pack_b(const float* B, std::int64_t ldb, std::int64_t kc, std::int64_t jw,
-            float* P) {
-  if (jw == kNR) {
-    for (std::int64_t kk = 0; kk < kc; ++kk)
-      std::memcpy(P + kk * kNR, B + kk * ldb, kNR * sizeof(float));
-  } else {
-    for (std::int64_t kk = 0; kk < kc; ++kk) {
-      const float* src = B + kk * ldb;
-      float* dst = P + kk * kNR;
-      std::int64_t j = 0;
-      for (; j < jw; ++j) dst[j] = src[j];
-      for (; j < kNR; ++j) dst[j] = 0.0f;
+// ---- forward GEMM: C = X x Y in float ---------------------------------------
+//
+// Each parallel unit owns a kFwdUnitRows x kFwdUnitCols block of C (2-D, so
+// a skinny product still spreads over the pool). Per kFK terms it packs its
+// Y columns into zero-padded kFC-column strips, read through strides: rows
+// are copied when Y's columns are contiguous, and a Y stored transposed goes
+// through 8x8 in-register transposes. A kFR x kFC register tile then runs
+// over each strip for every kFR rows of X, broadcasting X's elements
+// straight from its (contiguous) rows. Every C element is one float
+// multiply-add chain over ascending k from 0: the tile starts from zero on
+// the first term block and from C after it, and a C element is only ever a
+// float in between, so neither the term blocking, the tile edges nor the
+// thread count moves a bit. A row-edge tile runs the same chains on fewer
+// rows; a column-edge tile computes zero-padded columns and stores only its
+// valid corner.
+
+constexpr std::int64_t kFR = 6;             // register tile rows
+constexpr std::int64_t kFC = 16;            // register tile columns
+constexpr std::int64_t kFK = 256;           // terms per packed block
+constexpr std::int64_t kFwdUnitRows = 96;   // C rows per parallel unit
+constexpr std::int64_t kFwdUnitCols = 32;   // C columns per parallel unit
+
+#ifdef RANNC_KERNELS_AVX2
+
+/// Transposes the 8x8 block held in r[0..7] (row i in r[i]) in registers.
+inline void transpose8(__m256 (&r)[8]) {
+  const __m256 t0 = _mm256_unpacklo_ps(r[0], r[1]);
+  const __m256 t1 = _mm256_unpackhi_ps(r[0], r[1]);
+  const __m256 t2 = _mm256_unpacklo_ps(r[2], r[3]);
+  const __m256 t3 = _mm256_unpackhi_ps(r[2], r[3]);
+  const __m256 t4 = _mm256_unpacklo_ps(r[4], r[5]);
+  const __m256 t5 = _mm256_unpackhi_ps(r[4], r[5]);
+  const __m256 t6 = _mm256_unpacklo_ps(r[6], r[7]);
+  const __m256 t7 = _mm256_unpackhi_ps(r[6], r[7]);
+  const __m256 s0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
+  r[0] = _mm256_permute2f128_ps(s0, s4, 0x20);
+  r[1] = _mm256_permute2f128_ps(s1, s5, 0x20);
+  r[2] = _mm256_permute2f128_ps(s2, s6, 0x20);
+  r[3] = _mm256_permute2f128_ps(s3, s7, 0x20);
+  r[4] = _mm256_permute2f128_ps(s0, s4, 0x31);
+  r[5] = _mm256_permute2f128_ps(s1, s5, 0x31);
+  r[6] = _mm256_permute2f128_ps(s2, s6, 0x31);
+  r[7] = _mm256_permute2f128_ps(s3, s7, 0x31);
+}
+
+#endif  // RANNC_KERNELS_AVX2
+
+/// Packs kc terms of a unit's w columns as ceil(w/kFC) strips, strip s at
+/// P + s*kc*kFC: P[s*kc*kFC + t*kFC + l] = y[t*rs + (s*kFC + l)*cs]; the
+/// lanes past w are zero.
+void pack_strips(const float* y, std::int64_t rs, std::int64_t cs,
+                 std::int64_t kc, std::int64_t w, float* __restrict P) {
+  const std::int64_t strips = (w + kFC - 1) / kFC;
+  if (cs == 1) {  // columns contiguous: each term's row is one run
+    for (std::int64_t t = 0; t < kc; ++t)
+      for (std::int64_t s = 0; s < strips; ++s) {
+        const std::int64_t n = std::min(kFC, w - s * kFC);
+        float* d = P + (s * kc + t) * kFC;
+        std::memcpy(d, y + t * rs + s * kFC,
+                    static_cast<std::size_t>(n) * sizeof(float));
+        std::fill(d + n, d + kFC, 0.0f);
+      }
+    return;
+  }
+  for (std::int64_t s = 0; s < strips; ++s) {
+    const float* ys = y + s * kFC * cs;
+    float* Ps = P + s * kc * kFC;
+    const std::int64_t n = std::min(kFC, w - s * kFC);
+    std::int64_t t0 = 0;
+#ifdef RANNC_KERNELS_AVX2
+    if (rs == 1 && n == kFC) {  // stored transposed: 8x8 transposes
+      for (; t0 + 8 <= kc; t0 += 8)
+        for (std::int64_t l = 0; l < kFC; l += 8) {
+          __m256 r[8];
+          for (int i = 0; i < 8; ++i)
+            r[i] = _mm256_loadu_ps(ys + (l + i) * cs + t0);
+          transpose8(r);
+          for (int i = 0; i < 8; ++i)
+            _mm256_store_ps(Ps + (t0 + i) * kFC + l, r[i]);
+        }
+    }
+#endif
+    for (std::int64_t t = t0; t < kc; ++t) {
+      float* d = Ps + t * kFC;
+      std::int64_t l = 0;
+      for (; l < n; ++l) d[l] = ys[t * rs + l * cs];
+      for (; l < kFC; ++l) d[l] = 0.0f;
     }
   }
 }
 
-void micro_4x16(const float* __restrict A, std::int64_t lda,
-                const float* __restrict P, std::int64_t kc,
-                float* __restrict C, std::int64_t ldc, std::int64_t jw) {
-  float acc[kMR][kNR];
-  for (std::int64_t i = 0; i < kMR; ++i) {
-    std::int64_t j = 0;
-    for (; j < jw; ++j) acc[i][j] = C[i * ldc + j];
-    for (; j < kNR; ++j) acc[i][j] = 0.0f;
-  }
-  const float* a0 = A;
-  const float* a1 = A + lda;
-  const float* a2 = A + 2 * lda;
-  const float* a3 = A + 3 * lda;
-  for (std::int64_t kk = 0; kk < kc; ++kk) {
-    const float* __restrict b = P + kk * kNR;
-    const float v0 = a0[kk], v1 = a1[kk], v2 = a2[kk], v3 = a3[kk];
-    for (std::int64_t j = 0; j < kNR; ++j) {
-      const float bj = b[j];
-      acc[0][j] += v0 * bj;
-      acc[1][j] += v1 * bj;
-      acc[2][j] += v2 * bj;
-      acc[3][j] += v3 * bj;
+// micro_f32<R>: the R x kFC tile at c (row stride ldc) from kc terms of the
+// X rows x[0..R) and strip P; starts from zero when `first`, else from c.
+// The loops over R are fully unrolled, so GCC keeps the 2R accumulators in
+// ymm registers as it does micro_tile's named values (for R = kFR: twelve
+// accumulators, two strip vectors and one broadcast, no stack traffic in
+// the term loop).
+
+#ifdef RANNC_KERNELS_AVX2
+
+template <int R>
+void micro_f32(const float* const* x, const float* __restrict P,
+               std::int64_t kc, float* c, std::int64_t ldc, bool first) {
+  static_assert(R <= kFR && kFC == 16);
+  __m256 acc[R][2];
+#pragma GCC unroll 6
+  for (int r = 0; r < R; ++r)
+    for (int v = 0; v < 2; ++v)
+      acc[r][v] =
+          first ? _mm256_setzero_ps() : _mm256_loadu_ps(c + r * ldc + 8 * v);
+  for (std::int64_t t = 0; t < kc; ++t) {
+    const __m256 y0 = _mm256_load_ps(P + t * kFC);
+    const __m256 y1 = _mm256_load_ps(P + t * kFC + 8);
+#pragma GCC unroll 6
+    for (int r = 0; r < R; ++r) {
+      const __m256 a = _mm256_broadcast_ss(x[r] + t);
+      acc[r][0] = _mm256_fmadd_ps(a, y0, acc[r][0]);
+      acc[r][1] = _mm256_fmadd_ps(a, y1, acc[r][1]);
     }
   }
-  for (std::int64_t i = 0; i < kMR; ++i)
-    for (std::int64_t j = 0; j < jw; ++j) C[i * ldc + j] = acc[i][j];
+#pragma GCC unroll 6
+  for (int r = 0; r < R; ++r)
+    for (int v = 0; v < 2; ++v)
+      _mm256_storeu_ps(c + r * ldc + 8 * v, acc[r][v]);
 }
 
-void micro_1x16(const float* __restrict a, const float* __restrict P,
-                std::int64_t kc, float* __restrict C, std::int64_t jw) {
-  float acc[kNR];
-  std::int64_t j = 0;
-  for (; j < jw; ++j) acc[j] = C[j];
-  for (; j < kNR; ++j) acc[j] = 0.0f;
-  for (std::int64_t kk = 0; kk < kc; ++kk) {
-    const float v = a[kk];
-    const float* __restrict b = P + kk * kNR;
-    for (std::int64_t jj = 0; jj < kNR; ++jj) acc[jj] += v * b[jj];
-  }
-  for (std::int64_t jj = 0; jj < jw; ++jj) C[jj] = acc[jj];
-}
+#else  // !RANNC_KERNELS_AVX2
 
-/// One row tile [r0, r0+mt) of one batch's C = A x B.
-void gemm_rows(const float* A, const float* B, float* C, std::int64_t mt,
-               std::int64_t k, std::int64_t n) {
-  alignas(64) float P[kKC * kNR];
-  for (std::int64_t r = 0; r < mt; ++r)
-    std::fill_n(C + r * n, n, 0.0f);
-  for (std::int64_t kb = 0; kb < k; kb += kKC) {
-    const std::int64_t kc = std::min(kKC, k - kb);
-    for (std::int64_t j0 = 0; j0 < n; j0 += kNR) {
-      const std::int64_t jw = std::min(kNR, n - j0);
-      pack_b(B + kb * n + j0, n, kc, jw, P);
-      std::int64_t r0 = 0;
-      for (; r0 + kMR <= mt; r0 += kMR)
-        micro_4x16(A + r0 * k + kb, k, P, kc, C + r0 * n + j0, n, jw);
-      for (; r0 < mt; ++r0)
-        micro_1x16(A + r0 * k + kb, P, kc, C + r0 * n + j0, jw);
+template <int R>
+void micro_f32(const float* const* x, const float* __restrict P,
+               std::int64_t kc, float* c, std::int64_t ldc, bool first) {
+  float t[R][kFC];
+  for (int r = 0; r < R; ++r)
+    for (std::int64_t j = 0; j < kFC; ++j)
+      t[r][j] = first ? 0.0f : c[r * ldc + j];
+  for (std::int64_t p = 0; p < kc; ++p)
+    for (int r = 0; r < R; ++r) {
+      const float a = x[r][p];
+      for (std::int64_t j = 0; j < kFC; ++j) t[r][j] += a * P[p * kFC + j];
     }
+  for (int r = 0; r < R; ++r)
+    for (std::int64_t j = 0; j < kFC; ++j) c[r * ldc + j] = t[r][j];
+}
+
+#endif  // RANNC_KERNELS_AVX2
+
+/// The mr x nr corner of a tile at c; the zero-padded columns' results are
+/// dropped.
+void tile_f32(const float* x, std::int64_t xrs, std::int64_t mr,
+              const float* P, std::int64_t kc, float* c, std::int64_t ldc,
+              std::int64_t nr, bool first) {
+  const float* rows[kFR];
+  for (std::int64_t r = 0; r < mr; ++r) rows[r] = x + r * xrs;
+  float buf[kFR * kFC];
+  float* dst = c;
+  std::int64_t ld = ldc;
+  if (nr < kFC) {
+    dst = buf;
+    ld = kFC;
+    for (std::int64_t r = 0; r < mr && !first; ++r)
+      std::copy_n(c + r * ldc, nr, buf + r * kFC);
   }
+  switch (mr) {
+    case 1: micro_f32<1>(rows, P, kc, dst, ld, first); break;
+    case 2: micro_f32<2>(rows, P, kc, dst, ld, first); break;
+    case 3: micro_f32<3>(rows, P, kc, dst, ld, first); break;
+    case 4: micro_f32<4>(rows, P, kc, dst, ld, first); break;
+    case 5: micro_f32<5>(rows, P, kc, dst, ld, first); break;
+    default: micro_f32<kFR>(rows, P, kc, dst, ld, first); break;
+  }
+  if (nr < kFC)
+    for (std::int64_t r = 0; r < mr; ++r)
+      std::copy_n(buf + r * kFC, nr, c + r * ldc);
+}
+
+/// C[b] = X[b] x Y[b] for `batches` products of [M,K] x [K,N]; X's rows
+/// must be contiguous (x.cs == 1). C is contiguous [batches, M, N] and need
+/// not be initialized.
+void gemm_f32(const Strided& x, const Strided& y, float* C,
+              std::int64_t batches, std::int64_t M, std::int64_t N,
+              std::int64_t K, ThreadPool& pool) {
+  if (K == 0) {
+    std::fill_n(C, batches * M * N, 0.0f);
+    return;
+  }
+  const std::int64_t row_units = (M + kFwdUnitRows - 1) / kFwdUnitRows;
+  const std::int64_t col_units = (N + kFwdUnitCols - 1) / kFwdUnitCols;
+  const std::int64_t per_batch = row_units * col_units;
+  pool.parallel_for(0, batches * per_batch, [&](std::int64_t u0,
+                                                std::int64_t u1) {
+    alignas(64) float P[kFK * kFwdUnitCols];
+    for (std::int64_t u = u0; u < u1; ++u) {
+      const std::int64_t b = u / per_batch;
+      const std::int64_t i0 = (u % per_batch) / col_units * kFwdUnitRows;
+      const std::int64_t j0 = (u % col_units) * kFwdUnitCols;
+      const std::int64_t mt = std::min(kFwdUnitRows, M - i0);
+      const std::int64_t nt = std::min(kFwdUnitCols, N - j0);
+      const float* xu = x.p + b * x.bs + i0 * x.rs;
+      const float* yu = y.p + b * y.bs + j0 * y.cs;
+      float* cu = C + (b * M + i0) * N + j0;
+      for (std::int64_t k0 = 0; k0 < K; k0 += kFK) {
+        const std::int64_t kc = std::min(kFK, K - k0);
+        pack_strips(yu + k0 * y.rs, y.rs, y.cs, kc, nt, P);
+        for (std::int64_t j = 0; j < nt; j += kFC)
+          for (std::int64_t i = 0; i < mt; i += kFR)
+            tile_f32(xu + i * x.rs + k0, x.rs, std::min(kFR, mt - i),
+                     P + j * kc, kc, cu + i * N + j, N,
+                     std::min(kFC, nt - j), k0 == 0);
+      }
+    }
+  });
 }
 
 // ---- conv double-accumulator helpers ---------------------------------------
@@ -192,17 +331,12 @@ bool blocked_kernels_simd() {
 
 void blocked_matmul(const float* A, const float* B, float* C, std::int64_t ba,
                     std::int64_t m, std::int64_t k, std::int64_t n,
-                    bool shared_b, ThreadPool& pool) {
-  const std::int64_t tiles = (m + kRowTile - 1) / kRowTile;
-  pool.parallel_for(0, ba * tiles, [&](std::int64_t u0, std::int64_t u1) {
-    for (std::int64_t u = u0; u < u1; ++u) {
-      const std::int64_t bi = u / tiles;
-      const std::int64_t r0 = (u % tiles) * kRowTile;
-      const std::int64_t mt = std::min(kRowTile, m - r0);
-      gemm_rows(A + (bi * m + r0) * k, B + (shared_b ? 0 : bi * k * n),
-                C + (bi * m + r0) * n, mt, k, n);
-    }
-  });
+                    bool shared_b, bool trans_b, ThreadPool& pool) {
+  // Y(p, j) = B[p][j], or B[j][p] when stored transposed. A shared B folds
+  // the batches into rows.
+  const Strided y = trans_b ? Strided{B, k * n, 1, k} : Strided{B, k * n, n, 1};
+  gemm_f32({A, m * k, k, 1}, y, C, shared_b ? 1 : ba, shared_b ? ba * m : m,
+           n, k, pool);
 }
 
 namespace {
@@ -226,12 +360,6 @@ constexpr std::int64_t kTC = 12;         // register tile columns
 constexpr std::int64_t kKT = 128;        // p terms packed at a time
 constexpr std::int64_t kUnitRows = 32;   // C rows per parallel unit
 constexpr std::int64_t kUnitCols = 96;   // C columns per parallel unit
-
-/// Read-only float operand: element (b, r, c) sits at p[b*bs + r*rs + c*cs].
-struct Strided {
-  const float* p;
-  std::int64_t bs, rs, cs;
-};
 
 /// A unit's pack panels and its running sums between term blocks (152 KiB).
 struct alignas(64) GemmScratch {
@@ -421,18 +549,26 @@ void gemm_f2d(const Strided& x, const Strided& y, float* C,
 
 void blocked_matmul_grad_a(const float* G, const float* B, float* DA,
                            std::int64_t bg, std::int64_t m, std::int64_t n,
-                           std::int64_t k, bool shared_b, ThreadPool& pool) {
-  // X = G, Y(p, j) = B[j][p]. A shared B folds the batches into rows.
-  gemm_f2d({G, m * n, n, 1}, {B, k * n, 1, n}, DA, shared_b ? 1 : bg,
-           shared_b ? bg * m : m, k, n, pool);
+                           std::int64_t k, bool shared_b, bool trans_b,
+                           ThreadPool& pool) {
+  // X = G, Y(p, j) = B[j][p], or B[p][j] when stored transposed. A shared B
+  // folds the batches into rows.
+  const Strided y = trans_b ? Strided{B, k * n, k, 1} : Strided{B, k * n, 1, n};
+  gemm_f2d({G, m * n, n, 1}, y, DA, shared_b ? 1 : bg, shared_b ? bg * m : m,
+           k, n, pool);
 }
 
 void blocked_matmul_grad_b(const float* A, const float* G, float* DB,
                            std::int64_t ba, std::int64_t m, std::int64_t k,
-                           std::int64_t n, bool shared_b, ThreadPool& pool) {
-  // X(i, p) = A[p][i], Y = G. A shared B sums the terms of every batch.
-  gemm_f2d({A, m * k, 1, k}, {G, m * n, n, 1}, DB, shared_b ? 1 : ba, k, n,
-           shared_b ? ba * m : m, pool);
+                           std::int64_t n, bool shared_b, bool trans_b,
+                           ThreadPool& pool) {
+  // DB = A^T x G: X(i, p) = A[p][i], Y = G. Stored transposed, DB^T = G^T x
+  // A sums the same products in the same ascending order. A shared B sums
+  // the terms of every batch.
+  const Strided a_t{A, m * k, 1, k}, a{A, m * k, k, 1};
+  const Strided g_t{G, m * n, 1, n}, g{G, m * n, n, 1};
+  gemm_f2d(trans_b ? g_t : a_t, trans_b ? a : g, DB, shared_b ? 1 : ba,
+           trans_b ? n : k, trans_b ? k : n, shared_b ? ba * m : m, pool);
 }
 
 // ---- conv2d ----------------------------------------------------------------

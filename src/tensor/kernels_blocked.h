@@ -11,6 +11,15 @@
 // element never depends on how units are assigned to threads — results are
 // bit-identical at any thread-pool size.
 //
+// Every matmul operand B may be stored transposed (trans_b: [n,k] instead
+// of [k,n]); the kernels read it through strides, so no transposed copy is
+// ever built.
+//
+// The forward matmul is a float GEMM in which every C element is one float
+// multiply-add chain over ascending k, starting from 0, whatever the tile,
+// edge or thread count: fused (FMA) in AVX2+FMA builds, each product rounded
+// before its add in the plain-C fallback.
+//
 // matmul_grad_a and matmul_grad_b run on one packed-panel GEMM in which
 // every output element is a single double sum over ascending terms, rounded
 // to float once: the naive references' order. Float products are exact in
@@ -18,8 +27,8 @@
 // bit-identical to their references by construction; with no product formed
 // in float, subnormal inputs cost nothing extra. conv2d and conv2d_grad_x
 // keep the references' per-element double order too. The forward matmul
-// (float) and conv2d_grad_w (fixed double lanes) match their references to
-// rounding only.
+// (the naive loop rounds each product before adding it) and conv2d_grad_w
+// (fixed double lanes) match their references to rounding only.
 //
 // This translation unit is compiled -O3 and, where the toolchain allows,
 // -mavx2 -mfma (see src/tensor/CMakeLists.txt and the
@@ -37,22 +46,26 @@ namespace detail {
 /// True when this build's blocked kernels use the AVX2+FMA paths.
 bool blocked_kernels_simd();
 
-/// C[ba,m,n] = A[ba,m,k] x B[k,n or ba,k,n]; C need not be initialized.
+/// C[ba,m,n] = A[ba,m,k] x B, with B [k,n] (or [ba,k,n] unless shared_b)
+/// stored as [n,k] (or [ba,n,k]) when trans_b. C need not be initialized.
 void blocked_matmul(const float* A, const float* B, float* C, std::int64_t ba,
                     std::int64_t m, std::int64_t k, std::int64_t n,
-                    bool shared_b, ThreadPool& pool);
+                    bool shared_b, bool trans_b, ThreadPool& pool);
 
-/// DA[bg,m,k] = G[bg,m,n] x B^T (B is [k,n] or [bg,k,n]); DA need not be
-/// initialized.
+/// DA[bg,m,k] = G[bg,m,n] x B^T, B stored as in blocked_matmul. DA need not
+/// be initialized.
 void blocked_matmul_grad_a(const float* G, const float* B, float* DA,
                            std::int64_t bg, std::int64_t m, std::int64_t n,
-                           std::int64_t k, bool shared_b, ThreadPool& pool);
+                           std::int64_t k, bool shared_b, bool trans_b,
+                           ThreadPool& pool);
 
-/// DB = A^T x G. Shared rhs ([k,n], batches reduced) when shared_b, else
-/// per-batch [ba,k,n]. DB need not be initialized.
+/// DB = A^T x G in B's stored layout: [k,n] (batches reduced) when
+/// shared_b, else per-batch [ba,k,n]; [n,k] / [ba,n,k] when trans_b. DB
+/// need not be initialized.
 void blocked_matmul_grad_b(const float* A, const float* G, float* DB,
                            std::int64_t ba, std::int64_t m, std::int64_t k,
-                           std::int64_t n, bool shared_b, ThreadPool& pool);
+                           std::int64_t n, bool shared_b, bool trans_b,
+                           ThreadPool& pool);
 
 /// Y[N,K,Ho,Wo] = conv(X[N,C,H,W], W[K,C,kh,kw]); Y need not be initialized.
 void blocked_conv2d(const float* X, const float* Wt, float* Y, std::int64_t N,
@@ -84,9 +97,10 @@ void blocked_adam_step(const float* P, const float* G, const float* M,
                        float bc1, float bc2, ThreadPool& pool);
 
 /// Y[o,c,r] = X[o,r,c] for `outer` independent r x c matrices: the
-/// trailing-axes swap that weight transposes and attention head reshuffles
-/// reduce to. Tiled so both sides stream through cache; a pure permutation,
-/// so results are always bit-identical to any other evaluation order.
+/// trailing-axes swap of every transpose the interpreter does not fold into
+/// a matmul operand. Tiled so both sides stream through cache; a pure
+/// permutation, so results are always bit-identical to any other evaluation
+/// order.
 void blocked_transpose_last2(const float* X, float* Y, std::int64_t outer,
                              std::int64_t r, std::int64_t c, ThreadPool& pool);
 

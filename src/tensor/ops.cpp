@@ -7,6 +7,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -67,6 +68,32 @@ void split3(const Shape& s, std::int64_t& batch, std::int64_t& m,
   for (std::size_t i = 0; i + 2 < s.rank(); ++i) batch *= s.dims[i];
 }
 
+/// out[i] = op(a[i], b[i % b.numel()]), walked as runs of whole b rows so
+/// the inner loop is contiguous on both sides.
+template <typename Op>
+Tensor broadcast_binary(const Tensor& a, const Tensor& b, const char* msg,
+                        Op op) {
+  const std::int64_t nb = b.numel();
+  check(nb > 0 && a.numel() % nb == 0, msg);
+  Tensor out(a.shape());
+  const float* X = a.data();
+  const float* B = b.data();
+  float* Y = out.data();
+  kernel_pool().parallel_for(0, a.numel(), [&](std::int64_t lo,
+                                               std::int64_t hi) {
+    for (std::int64_t i = lo; i < hi;) {
+      const std::int64_t j = i % nb;
+      const std::int64_t len = std::min(nb - j, hi - i);
+      const float* __restrict x = X + i;
+      const float* __restrict bj = B + j;
+      float* __restrict y = Y + i;
+      for (std::int64_t t = 0; t < len; ++t) y[t] = op(x[t], bj[t]);
+      i += len;
+    }
+  });
+  return out;
+}
+
 Tensor elementwise_unary(const Tensor& a, float (*fn)(float)) {
   Tensor out(a.shape());
   const float* x = a.data();
@@ -117,11 +144,12 @@ ThreadPool& kernel_pool() {
 
 // ---- matmul -----------------------------------------------------------------
 
-Tensor matmul(const Tensor& a, const Tensor& b) {
+Tensor matmul(const Tensor& a, const Tensor& b, bool trans_b) {
   std::int64_t ba, m, ka;
   split3(a.shape(), ba, m, ka);
   std::int64_t bb, kb, n;
   split3(b.shape(), bb, kb, n);
+  if (trans_b) std::swap(kb, n);
   check(ka == kb, "matmul: inner dimensions differ");
   check(bb == 1 || bb == ba, "matmul: batch dimensions differ");
 
@@ -137,9 +165,12 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   km.record(2.0 * static_cast<double>(ba * m) * static_cast<double>(ka) * n,
             tensor_bytes(a, b, out));
   if (!naive_kernels()) {
-    detail::blocked_matmul(A, B, C, ba, m, ka, n, shared_b, kernel_pool());
+    detail::blocked_matmul(A, B, C, ba, m, ka, n, shared_b, trans_b,
+                           kernel_pool());
     return out;
   }
+  // B(k, j) sits at bmat[k*bk + j*bj].
+  const std::int64_t bk = trans_b ? 1 : n, bj = trans_b ? ka : 1;
   kernel_pool().parallel_for(
       0, ba * m, [&](std::int64_t r0, std::int64_t r1) {
         for (std::int64_t r = r0; r < r1; ++r) {
@@ -151,19 +182,23 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
           for (std::int64_t k = 0; k < ka; ++k) {
             const float av = arow[k];
             if (av == 0.0f) continue;
-            const float* brow = bmat + k * n;
-            for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+            const float* brow = bmat + k * bk;
+            if (bj == 1)
+              for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+            else
+              for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j * bj];
           }
         }
       });
   return out;
 }
 
-Tensor matmul_grad_a(const Tensor& g, const Tensor& b) {
+Tensor matmul_grad_a(const Tensor& g, const Tensor& b, bool trans_b) {
   std::int64_t bg, m, n;
   split3(g.shape(), bg, m, n);
   std::int64_t bb, k, nb;
   split3(b.shape(), bb, k, nb);
+  if (trans_b) std::swap(k, nb);
   check(nb == n, "matmul_grad_a: shape mismatch");
   check(bb == 1 || bb == bg, "matmul_grad_a: batch mismatch");
 
@@ -179,10 +214,12 @@ Tensor matmul_grad_a(const Tensor& g, const Tensor& b) {
   km.record(2.0 * static_cast<double>(bg * m) * static_cast<double>(n) * k,
             tensor_bytes(g, b, da));
   if (!naive_kernels()) {
-    detail::blocked_matmul_grad_a(G, B, DA, bg, m, n, k, shared_b,
+    detail::blocked_matmul_grad_a(G, B, DA, bg, m, n, k, shared_b, trans_b,
                                   kernel_pool());
     return da;
   }
+  // B(kk, j) sits at bmat[kk*bk + j*bj].
+  const std::int64_t bk = trans_b ? 1 : n, bj = trans_b ? k : 1;
   kernel_pool().parallel_for(
       0, bg * m, [&](std::int64_t r0, std::int64_t r1) {
         for (std::int64_t r = r0; r < r1; ++r) {
@@ -191,10 +228,10 @@ Tensor matmul_grad_a(const Tensor& g, const Tensor& b) {
           const float* bmat = B + (shared_b ? 0 : bi * k * n);
           float* darow = DA + r * k;
           for (std::int64_t kk = 0; kk < k; ++kk) {
-            const float* brow = bmat + kk * n;
+            const float* brow = bmat + kk * bk;
             double acc = 0;
             for (std::int64_t j = 0; j < n; ++j)
-              acc += static_cast<double>(grow[j]) * brow[j];
+              acc += static_cast<double>(grow[j]) * brow[j * bj];
             darow[kk] = static_cast<float>(acc);
           }
         }
@@ -202,7 +239,8 @@ Tensor matmul_grad_a(const Tensor& g, const Tensor& b) {
   return da;
 }
 
-Tensor matmul_grad_b(const Tensor& a, const Tensor& g, const Shape& b_shape) {
+Tensor matmul_grad_b(const Tensor& a, const Tensor& g, const Shape& b_shape,
+                     bool trans_b) {
   std::int64_t ba, m, k;
   split3(a.shape(), ba, m, k);
   std::int64_t bg, mg, n;
@@ -210,6 +248,7 @@ Tensor matmul_grad_b(const Tensor& a, const Tensor& g, const Shape& b_shape) {
   check(ba == bg && m == mg, "matmul_grad_b: shape mismatch");
   std::int64_t bb, kb, nb;
   split3(b_shape, bb, kb, nb);
+  if (trans_b) std::swap(kb, nb);
   check(kb == k && nb == n, "matmul_grad_b: b_shape mismatch");
 
   Tensor db(b_shape);
@@ -221,13 +260,15 @@ Tensor matmul_grad_b(const Tensor& a, const Tensor& g, const Shape& b_shape) {
   km.record(2.0 * static_cast<double>(ba * m) * static_cast<double>(k) * n,
             tensor_bytes(a, g, db));
   if (!naive_kernels()) {
-    detail::blocked_matmul_grad_b(A, G, DB, ba, m, k, n, bb == 1,
+    detail::blocked_matmul_grad_b(A, G, DB, ba, m, k, n, bb == 1, trans_b,
                                   kernel_pool());
     return db;
   }
   // Each DB element is one sequential double sum over rows in ascending
   // order (every batch's rows when the rhs is shared), rounded to float once.
+  // DB(kk, j) of batch bi sits at DB[bi*k*n + kk*dk + j*dj].
   const std::int64_t rows = bb == 1 ? ba * m : m;
+  const std::int64_t dk = trans_b ? 1 : n, dj = trans_b ? k : 1;
   kernel_pool().parallel_for(
       0, bb * k, [&](std::int64_t u0, std::int64_t u1) {
         std::vector<double> acc(static_cast<std::size_t>(n));
@@ -242,9 +283,10 @@ Tensor matmul_grad_b(const Tensor& a, const Tensor& g, const Shape& b_shape) {
             for (std::int64_t j = 0; j < n; ++j)
               acc[static_cast<std::size_t>(j)] += av * grow[j];
           }
-          float* dbrow = DB + u * n;
+          float* dbrow = DB + bi * k * n + kk * dk;
           for (std::int64_t j = 0; j < n; ++j)
-            dbrow[j] = static_cast<float>(acc[static_cast<std::size_t>(j)]);
+            dbrow[j * dj] =
+                static_cast<float>(acc[static_cast<std::size_t>(j)]);
         }
       });
   return db;
@@ -338,18 +380,8 @@ Tensor transpose(const Tensor& a, const std::vector<int>& perm) {
 // ---- elementwise --------------------------------------------------------------
 
 Tensor add(const Tensor& a, const Tensor& b) {
-  const std::int64_t nb = b.numel();
-  check(nb > 0 && a.numel() % nb == 0, "add: incompatible broadcast");
-  Tensor out(a.shape());
-  const float* X = a.data();
-  const float* B = b.data();
-  float* Y = out.data();
-  kernel_pool().parallel_for(0, a.numel(),
-                                    [&](std::int64_t lo, std::int64_t hi) {
-                                      for (std::int64_t i = lo; i < hi; ++i)
-                                        Y[i] = X[i] + B[i % nb];
-                                    });
-  return out;
+  return broadcast_binary(a, b, "add: incompatible broadcast",
+                          [](float x, float y) { return x + y; });
 }
 
 Tensor add_reduce_grad(const Tensor& g, const Shape& b_shape) {
@@ -358,19 +390,17 @@ Tensor add_reduce_grad(const Tensor& g, const Shape& b_shape) {
   Tensor db(b_shape, 0.0f);
   float* D = db.data();
   const float* G = g.data();
-  for (std::int64_t i = 0; i < g.numel(); ++i) D[i % nb] += G[i];
+  // Each element sums its column over ascending rows.
+  for (std::int64_t r = 0; r < g.numel() / nb; ++r) {
+    const float* __restrict grow = G + r * nb;
+    for (std::int64_t j = 0; j < nb; ++j) D[j] += grow[j];
+  }
   return db;
 }
 
 Tensor mul(const Tensor& a, const Tensor& b) {
-  const std::int64_t nb = b.numel();
-  check(nb > 0 && a.numel() % nb == 0, "mul: incompatible broadcast");
-  Tensor out(a.shape());
-  const float* X = a.data();
-  const float* B = b.data();
-  float* Y = out.data();
-  for (std::int64_t i = 0; i < a.numel(); ++i) Y[i] = X[i] * B[i % nb];
-  return out;
+  return broadcast_binary(a, b, "mul: incompatible broadcast",
+                          [](float x, float y) { return x * y; });
 }
 
 Tensor scale(const Tensor& a, float s) {

@@ -40,11 +40,16 @@ ThreadPool& kernel_pool();
 // ---- linear algebra --------------------------------------------------------
 
 /// a [m,k] x b [k,n]; batched forms [B,m,k]x[B,k,n] and [B,m,k]x[k,n].
-Tensor matmul(const Tensor& a, const Tensor& b);
+/// With trans_b, b is stored transposed ([n,k], [B,n,k]) and read through
+/// strides: the result is bit-identical to matmul(a, transpose(b)).
+Tensor matmul(const Tensor& a, const Tensor& b, bool trans_b = false);
 /// Gradients of matmul: da = g x b^T, db = a^T x g (batch dims reduced for
-/// a broadcast rhs).
-Tensor matmul_grad_a(const Tensor& g, const Tensor& b);
-Tensor matmul_grad_b(const Tensor& a, const Tensor& g, const Shape& b_shape);
+/// a broadcast rhs). With trans_b, b is stored as in matmul and db comes
+/// back in b's stored layout (b_shape is that shape), bit-identical to the
+/// transposed gradient of the untransposed form.
+Tensor matmul_grad_a(const Tensor& g, const Tensor& b, bool trans_b = false);
+Tensor matmul_grad_b(const Tensor& a, const Tensor& g, const Shape& b_shape,
+                     bool trans_b = false);
 
 /// Permutes dimensions; perm has one entry per dim.
 Tensor transpose(const Tensor& a, const std::vector<int>& perm);

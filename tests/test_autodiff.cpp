@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "autodiff/interpreter.h"
 
@@ -302,51 +306,140 @@ TEST(Interpreter, FanOutAccumulatesGradients) {
   EXPECT_FLOAT_EQ(grads.at(x).at(1), 2.0f);
 }
 
-TEST(Interpreter, ParamMemoReusesUntilInvalidated) {
-  TaskGraph g("memo");
-  ValueId w = g.add_param("w", Shape{4, 3});
-  ValueId tr = g.add_task("tr", OpKind::Transpose, {w}, Shape{3, 4},
-                          DType::F32,
-                          OpAttrs{}.set("perm0", std::int64_t{1})
-                                   .set("perm1", std::int64_t{0}));
-  g.mark_output(tr);
-  Interpreter interp(g);
-  interp.set_param_memo(true);
-  Tensor p = Tensor::uniform(Shape{4, 3}, 1.0f, 3);
-  const std::vector<TaskId> all = g.topo_order();
+// ---- transpose folding -----------------------------------------------------
 
-  TensorMap v1;
-  v1.emplace(w, p);
-  ForwardCache c1;
-  interp.forward(all, v1, c1);
-  const float* first = v1.at(tr).data();
+/// W read as W^T by two MatMuls and directly by a third, reduced to one
+/// scalar: the graph the folding tests run. W is a [6,7] parameter, or a
+/// batched [2,6,7] activation transposed on its last two axes (the
+/// attention case). Each flag adds one thing that defeats the fold.
+struct FoldGraph {
+  TaskGraph g{"fold"};
+  ValueId w = -1, wt = -1, loss = -1;
+  std::vector<ValueId> leaves;  // inputs and params, gradients checked
+  TensorMap tensors;
 
-  // Same param buffer again: the memoized transpose is handed back as-is.
-  TensorMap v2;
-  v2.emplace(w, p);
-  ForwardCache c2;
-  interp.forward(all, v2, c2);
-  EXPECT_EQ(v2.at(tr).data(), first);
+  FoldGraph(bool batched, bool wt_is_output, bool wt_feeds_relu) {
+    const std::vector<std::int64_t> lead =
+        batched ? std::vector<std::int64_t>{2} : std::vector<std::int64_t>{};
+    const auto shape = [&](std::int64_t r, std::int64_t c) {
+      Shape sh{lead};
+      sh.dims.push_back(r);
+      sh.dims.push_back(c);
+      return sh;
+    };
+    const auto leaf = [&](ValueId v) {
+      tensors.emplace(v, Tensor::uniform(g.value(v).shape, 1.0f,
+                                         leaves.size() + 5));
+      leaves.push_back(v);
+      return v;
+    };
+    const ValueId x = leaf(g.add_input("x", shape(5, 7)));
+    const ValueId x2 = leaf(g.add_input("x2", shape(3, 6)));
+    const ValueId x3 = leaf(g.add_input("x3", shape(4, 7)));
+    w = leaf(batched ? g.add_input("w", shape(6, 7))
+                     : g.add_param("w", shape(6, 7)));
+    OpAttrs perm;
+    for (std::size_t i = 0; i < lead.size() + 2; ++i)
+      perm.set("perm" + std::to_string(i), static_cast<std::int64_t>(i));
+    perm.set("perm" + std::to_string(lead.size()),
+             static_cast<std::int64_t>(lead.size() + 1));
+    perm.set("perm" + std::to_string(lead.size() + 1),
+             static_cast<std::int64_t>(lead.size()));
+    wt = g.add_task("wt", OpKind::Transpose, {w}, shape(7, 6), DType::F32,
+                    perm);
+    const ValueId y1 = g.add_task("y1", OpKind::MatMul, {x, wt}, shape(5, 6));
+    // A direct use of W between the two folded reads: its gradient lands
+    // in W's slot before the held W^T gradient does.
+    const ValueId z = g.add_task("z", OpKind::MatMul, {x2, w}, shape(3, 7));
+    const ValueId y2 = g.add_task("y2", OpKind::MatMul, {x3, wt}, shape(4, 6));
+    if (wt_feeds_relu)
+      g.add_task("wt_relu", OpKind::Relu, {wt}, shape(7, 6));
+    ValueId sum = -1;
+    for (ValueId v : {y1, z, y2}) {
+      const std::int64_t n = g.value(v).shape.numel();
+      const std::string name = g.value(v).name;
+      const ValueId flat =
+          g.add_task(name + "_flat", OpKind::Reshape, {v}, Shape{1, n});
+      const ValueId r = leaf(g.add_param(name + "_rw", Shape{n, 1}));
+      const ValueId red =
+          g.add_task(name + "_red", OpKind::MatMul, {flat, r}, Shape{1, 1});
+      sum = sum < 0 ? red
+                    : g.add_task(name + "_sum", OpKind::Add, {sum, red},
+                                 Shape{1, 1});
+    }
+    loss = sum;
+    g.mark_output(loss);
+    if (wt_is_output) g.mark_output(wt);
+  }
 
-  // A different buffer for the same value defeats the memo on its own: the
-  // stored source pointer no longer matches, so the entry is recomputed.
-  Tensor q = Tensor::uniform(Shape{4, 3}, 1.0f, 4);
-  TensorMap v3;
-  v3.emplace(w, q);
-  ForwardCache c3;
-  interp.forward(all, v3, c3);
-  EXPECT_NE(v3.at(tr).data(), first);
-  EXPECT_FLOAT_EQ(v3.at(tr).at(0), q.at(0));
+  /// Forward and backward over `lists` in order (reverse for backward);
+  /// returns the values and the gradients.
+  std::pair<TensorMap, TensorMap> run(
+      const std::vector<std::vector<TaskId>>& lists) const {
+    Interpreter interp(g);
+    TensorMap values = tensors;
+    ForwardCache cache;
+    for (const auto& l : lists) interp.forward(l, values, cache);
+    TensorMap grads;
+    grads.emplace(loss, Tensor::full(Shape{1, 1}, 1.0f));
+    for (auto it = lists.rbegin(); it != lists.rend(); ++it)
+      interp.backward(*it, values, cache, grads);
+    return {std::move(values), std::move(grads)};
+  }
+};
 
-  // In-place rewrites keep the pointer, which is exactly what
-  // invalidate_param_memo is for (the trainers call it around each step).
-  p.data()[0] = 42.0f;
-  interp.invalidate_param_memo();
-  TensorMap v4;
-  v4.emplace(w, p);
-  ForwardCache c4;
-  interp.forward(all, v4, c4);
-  EXPECT_FLOAT_EQ(v4.at(tr).at(0), 42.0f);
+bool bit_equal(const Tensor& a, const Tensor& b) {
+  return a.shape().dims == b.shape().dims &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+/// The folded run skips W^T entirely; `fallback` materialises it and must
+/// give the same loss and leaf gradients, bit for bit.
+void expect_fold_matches(const FoldGraph& folded_graph,
+                         const FoldGraph& fallback_graph,
+                         const std::vector<std::vector<TaskId>>& fallback_lists,
+                         const std::string& what) {
+  const auto [fv, fg] = folded_graph.run({folded_graph.g.topo_order()});
+  const auto [mv, mg] = fallback_graph.run(fallback_lists);
+  EXPECT_EQ(fv.count(folded_graph.wt), 0u) << what << ": W^T was built";
+  EXPECT_EQ(fg.count(folded_graph.wt), 0u) << what;
+  EXPECT_EQ(mv.count(fallback_graph.wt), 1u) << what << ": W^T was folded";
+  EXPECT_TRUE(bit_equal(fv.at(folded_graph.loss), mv.at(fallback_graph.loss)))
+      << what;
+  for (std::size_t i = 0; i < folded_graph.leaves.size(); ++i)
+    EXPECT_TRUE(bit_equal(fg.at(folded_graph.leaves[i]),
+                          mg.at(fallback_graph.leaves[i])))
+        << what << ": gradient of "
+        << folded_graph.g.value(folded_graph.leaves[i]).name;
+}
+
+TEST(Interpreter, TransposeReadAsGraphOutputIsMaterialised) {
+  for (const bool batched : {false, true})
+    expect_fold_matches(FoldGraph(batched, false, false),
+                        FoldGraph(batched, true, false),
+                        {FoldGraph(batched, true, false).g.topo_order()},
+                        batched ? "batched" : "param");
+}
+
+TEST(Interpreter, TransposeFeedingNonMatMulIsMaterialised) {
+  for (const bool batched : {false, true})
+    expect_fold_matches(FoldGraph(batched, false, false),
+                        FoldGraph(batched, false, true),
+                        {FoldGraph(batched, false, true).g.topo_order()},
+                        batched ? "batched" : "param");
+}
+
+TEST(Interpreter, TransposeFeedingMatMulInAnotherTaskListIsMaterialised) {
+  for (const bool batched : {false, true}) {
+    const FoldGraph fg(batched, false, false);
+    // The transpose alone in one list, its consumers in the next: a stage
+    // boundary between them.
+    const TaskId tr = fg.g.value(fg.wt).producer;
+    std::vector<TaskId> before, rest;
+    for (TaskId t : fg.g.topo_order()) (t <= tr ? before : rest).push_back(t);
+    expect_fold_matches(fg, fg, {before, rest}, batched ? "batched" : "param");
+  }
 }
 
 }  // namespace

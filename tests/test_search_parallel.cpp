@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <thread>
 #include <vector>
 
 #include "models/bert.h"
@@ -174,6 +175,29 @@ TEST(ProfileMemo, ReturnsBitIdenticalProfiles) {
           EXPECT_DOUBLE_EQ(got.t_b, want.t_b);
           EXPECT_EQ(got.mem, want.mem);
         }
+}
+
+// Two threads miss one key at once and both compute it: the first insert
+// counts the miss and the second a hit, so the counters are the same
+// whatever the scheduling (misses are the distinct keys).
+TEST(ProfileMemo, ConcurrentMissesOnOneKeyCountOneMiss) {
+  std::atomic<int> entered{0};
+  ProfileMemo memo([&](int lo, int hi, std::int64_t bsize, int, int) {
+    entered.fetch_add(1);
+    while (entered.load() < 2) std::this_thread::yield();  // both missed
+    StageProfile p;
+    p.t_f = lo + 100.0 * hi + static_cast<double>(bsize);
+    return p;
+  });
+  RangeProfileFn f = memo.fn();
+  StageProfile theirs;
+  std::thread other([&] { theirs = f(0, 4, 8, 2, 3); });
+  const StageProfile mine = f(0, 4, 8, 2, 3);
+  other.join();
+  EXPECT_EQ(entered.load(), 2);
+  EXPECT_EQ(memo.misses(), 1);
+  EXPECT_EQ(memo.hits(), 1);
+  EXPECT_DOUBLE_EQ(mine.t_f, theirs.t_f);
 }
 
 // ---- Budget abort under concurrency --------------------------------------

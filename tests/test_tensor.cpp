@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "tensor/kernels_blocked.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 #include "util/arena.h"
@@ -345,32 +346,53 @@ Tensor oracle_grad_b(const Tensor& a, const Tensor& g, const MmCase& c) {
   return db;
 }
 
+/// A catalog case's operands: a, b as matmul reads it, and an upstream
+/// gradient g shaped like the product.
+struct MmOperands {
+  Tensor a, b, g;
+};
+
+MmOperands operands(const MmCase& c) {
+  MmOperands o;
+  o.a = Tensor::uniform(Shape{c.ba, c.m, c.k}, 1.0f,
+                        17 * static_cast<std::uint64_t>(c.m) + c.k);
+  o.b = c.shared_b
+            ? Tensor::uniform(Shape{c.k, c.n}, 1.0f, 7 * c.n + 1)
+            : Tensor::uniform(Shape{c.ba, c.k, c.n}, 1.0f, 7 * c.n + 1);
+  o.g = Tensor::uniform(Shape{c.ba, c.m, c.n}, 1.0f, 99);
+  if (c.subnormal) {
+    sprinkle_subnormals(o.a);
+    sprinkle_subnormals(o.g);
+  }
+  return o;
+}
+
+std::string describe(const MmCase& c) {
+  return "case ba=" + std::to_string(c.ba) + " m=" + std::to_string(c.m) +
+         " k=" + std::to_string(c.k) + " n=" + std::to_string(c.n) +
+         (c.shared_b ? " shared" : " batched") +
+         (c.subnormal ? " subnormal" : "");
+}
+
+/// The last-two-axes swap that stores a case's B transposed.
+std::vector<int> swap_last2(const MmCase& c) {
+  return c.shared_b ? std::vector<int>{1, 0} : std::vector<int>{0, 2, 1};
+}
+
 TEST(KernelParity, MatmulFamilyMatchesNaiveOverCatalog) {
   for (const MmCase& c : kMmCatalog) {
-    Tensor a = Tensor::uniform(Shape{c.ba, c.m, c.k}, 1.0f,
-                               17 * static_cast<std::uint64_t>(c.m) + c.k);
-    Tensor b = c.shared_b
-                   ? Tensor::uniform(Shape{c.k, c.n}, 1.0f, 7 * c.n + 1)
-                   : Tensor::uniform(Shape{c.ba, c.k, c.n}, 1.0f, 7 * c.n + 1);
-    if (c.subnormal) sprinkle_subnormals(a);
-    Tensor cn, dan, dbn, g;
+    const auto [a, b, g] = operands(c);
+    Tensor cn, dan, dbn;
     {
       NaiveScope naive(true);
       cn = matmul(a, b);
-      g = Tensor::uniform(cn.shape(), 1.0f, 99);
-      if (c.subnormal) sprinkle_subnormals(g);
       dan = matmul_grad_a(g, b);
       dbn = matmul_grad_b(a, g, b.shape());
     }
     Tensor cb = matmul(a, b);
     Tensor dab = matmul_grad_a(g, b);
     Tensor dbb = matmul_grad_b(a, g, b.shape());
-    const std::string at = "case ba=" + std::to_string(c.ba) +
-                           " m=" + std::to_string(c.m) +
-                           " k=" + std::to_string(c.k) +
-                           " n=" + std::to_string(c.n) +
-                           (c.shared_b ? " shared" : " batched") +
-                           (c.subnormal ? " subnormal" : "");
+    const std::string at = describe(c);
     // The forward GEMM accumulates in float in a different order than the
     // reference, so its rounding error grows with the reduction length.
     EXPECT_LE(max_abs_diff(cn, cb),
@@ -384,6 +406,55 @@ TEST(KernelParity, MatmulFamilyMatchesNaiveOverCatalog) {
     EXPECT_TRUE(bit_equal(dab, dao)) << at;
     EXPECT_TRUE(bit_equal(dbn, dbo)) << at;
     EXPECT_TRUE(bit_equal(dbb, dbo)) << at;
+  }
+}
+
+// A B stored transposed is read through strides: every op of the family is
+// bit-equal to materialising the transpose first, on both kernel paths, and
+// grad_b comes back in the stored layout.
+TEST(KernelParity, TransposedOperandBitEqualToTransposeThenOp) {
+  for (const bool naive : {true, false}) {
+    NaiveScope scope(naive);
+    for (const MmCase& c : kMmCatalog) {
+      const auto [a, b, g] = operands(c);
+      const Tensor bt = transpose(b, swap_last2(c));
+      const std::string at = describe(c) + (naive ? " naive" : " blocked");
+      EXPECT_TRUE(bit_equal(matmul(a, bt, true), matmul(a, b))) << at;
+      EXPECT_TRUE(bit_equal(matmul_grad_a(g, bt, true), matmul_grad_a(g, b)))
+          << at;
+      const Tensor dbt = matmul_grad_b(a, g, bt.shape(), true);
+      EXPECT_EQ(dbt.shape().dims, bt.shape().dims) << at;
+      EXPECT_TRUE(bit_equal(
+          dbt, transpose(matmul_grad_b(a, g, b.shape()), swap_last2(c))))
+          << at;
+    }
+  }
+}
+
+// Every element of the forward GEMM is one float FMA chain over ascending
+// k, starting from 0, ragged tile edges included, whether B is plain or
+// stored transposed.
+TEST(KernelParity, ForwardGemmIsOneFmaChainPerElement) {
+  if (!detail::blocked_kernels_simd())
+    GTEST_SKIP() << "the plain-C fallback tile rounds each product";
+  for (const MmCase& c : kMmCatalog) {
+    const auto [a, b, g] = operands(c);
+    Tensor oracle(Shape{c.ba, c.m, c.n});
+    for (std::int64_t bi = 0; bi < c.ba; ++bi)
+      for (std::int64_t i = 0; i < c.m; ++i)
+        for (std::int64_t j = 0; j < c.n; ++j) {
+          const float* arow = a.data() + (bi * c.m + i) * c.k;
+          const float* bmat = b.data() + (c.shared_b ? 0 : bi) * c.k * c.n;
+          float acc = 0.0f;
+          for (std::int64_t q = 0; q < c.k; ++q)
+            acc = std::fma(arow[q], bmat[q * c.n + j], acc);
+          oracle.at((bi * c.m + i) * c.n + j) = acc;
+        }
+    const std::string at = describe(c);
+    EXPECT_TRUE(bit_equal(matmul(a, b), oracle)) << at;
+    EXPECT_TRUE(
+        bit_equal(matmul(a, transpose(b, swap_last2(c)), true), oracle))
+        << at;
   }
 }
 
@@ -477,6 +548,17 @@ TEST(KernelParity, BlockedResultsBitIdenticalAcrossThreadCounts) {
   Tensor sg = Tensor::uniform(Shape{8, 520}, 1.0f, 8);
   Tensor sda1 = matmul_grad_a(sg, sb);
   Tensor sdb1 = matmul_grad_b(sa, sg, sb.shape());
+  // The forward GEMM's 2-D units on a weight stored [out, in]: bert_tiny's
+  // FFN-up projection and the mlp's 8-row microbatch.
+  Tensor fx = Tensor::uniform(Shape{64, 384}, 1.0f, 9);
+  Tensor fw = Tensor::uniform(Shape{1536, 384}, 1.0f, 10);
+  Tensor fg = Tensor::uniform(Shape{64, 1536}, 1.0f, 11);
+  Tensor mx = Tensor::uniform(Shape{8, 1024}, 1.0f, 12);
+  Tensor mw = Tensor::uniform(Shape{1000, 1024}, 1.0f, 13);
+  Tensor fc1 = matmul(fx, fw, true);
+  Tensor fda1 = matmul_grad_a(fg, fw, true);
+  Tensor fdw1 = matmul_grad_b(fx, fg, fw.shape(), true);
+  Tensor mc1 = matmul(mx, mw, true);
   set_kernel_pool(&wide);
   Tensor c2 = matmul(a, b);
   Tensor da2 = matmul_grad_a(g, b);
@@ -485,6 +567,10 @@ TEST(KernelParity, BlockedResultsBitIdenticalAcrossThreadCounts) {
   Tensor t2 = transpose(a, {0, 2, 1});
   Tensor sda2 = matmul_grad_a(sg, sb);
   Tensor sdb2 = matmul_grad_b(sa, sg, sb.shape());
+  Tensor fc2 = matmul(fx, fw, true);
+  Tensor fda2 = matmul_grad_a(fg, fw, true);
+  Tensor fdw2 = matmul_grad_b(fx, fg, fw.shape(), true);
+  Tensor mc2 = matmul(mx, mw, true);
   set_kernel_pool(nullptr);
   EXPECT_TRUE(bit_equal(c1, c2));
   EXPECT_TRUE(bit_equal(da1, da2));
@@ -493,6 +579,10 @@ TEST(KernelParity, BlockedResultsBitIdenticalAcrossThreadCounts) {
   EXPECT_TRUE(bit_equal(t1, t2));
   EXPECT_TRUE(bit_equal(sda1, sda2));
   EXPECT_TRUE(bit_equal(sdb1, sdb2));
+  EXPECT_TRUE(bit_equal(fc1, fc2));
+  EXPECT_TRUE(bit_equal(fda1, fda2));
+  EXPECT_TRUE(bit_equal(fdw1, fdw2));
+  EXPECT_TRUE(bit_equal(mc1, mc2));
 }
 
 // ---- arena ------------------------------------------------------------------
